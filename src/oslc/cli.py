@@ -26,15 +26,13 @@ from pathlib import Path
 
 from . import __version__
 from .codes import GOLAY, BinaryBlockCode
-from .constellations import build_spec
+from .constellations import SCHEMES, build_spec
 from .indoor import RoomConfig, osnr_map, survey_ser
 from .selfcheck import run_property_suite
 from .shaping import solve_t_star
 from .simulate import ser_sweep
 
 __all__ = ["main"]
-
-_SCHEMES = ("oslc", "tcc", "cubic")
 
 
 def _parse_int_axis(text: str) -> list[int]:
@@ -152,8 +150,8 @@ def _cmd_ser(args, config, argv) -> int:
     started = time.perf_counter()
     out = Path(_resolve(args, config, "out", "ser.csv"))
     scheme = _resolve(args, config, "scheme", None)
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     beta = int(_resolve(args, config, "beta", 5))
     alpha = float(_resolve(args, config, "alpha", 0.2))
     grid = _parse_float_axis(_resolve(args, config, "osnr", "24:29:1"))
@@ -197,8 +195,8 @@ def _cmd_indoor(args, config, argv) -> int:
     started = time.perf_counter()
     out = Path(_resolve(args, config, "out", "indoor.csv"))
     scheme = _resolve(args, config, "scheme", None)
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     beta = int(_resolve(args, config, "beta", 5))
     alpha = float(_resolve(args, config, "alpha", 0.2))
     seed = int(_resolve(args, config, "seed", 0))
@@ -307,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ser = sub.add_parser(
         "ser", parents=[common],
         help="Monte Carlo symbol error rates over an OSNR grid")
-    p_ser.add_argument("--scheme", choices=_SCHEMES)
+    p_ser.add_argument("--scheme", choices=SCHEMES)
     p_ser.add_argument("--beta", type=int, help="bits per dimension")
     p_ser.add_argument("--alpha", type=float, help="dimming ratio")
     p_ser.add_argument("--osnr", help="grid in dB, e.g. 24:29:0.5 or 25,26")
@@ -319,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_indoor = sub.add_parser(
         "indoor", parents=[common],
         help="room OSNR heatmap and position-averaged error survey")
-    p_indoor.add_argument("--scheme", choices=_SCHEMES)
+    p_indoor.add_argument("--scheme", choices=SCHEMES)
     p_indoor.add_argument("--beta", type=int, help="bits per dimension")
     p_indoor.add_argument("--alpha", type=float, help="dimming ratio")
     p_indoor.add_argument("--positions", type=int,

@@ -1,8 +1,11 @@
 """Binary linear block codes backing the lattice constructions.
 
-Two codes matter here: the (24,12,8) extended Golay code, which supplies the
-fine-coding layer of the 24-dimensional constellation, and the (n, n-1)
-single-parity-check code implicit in the mod-4 layer.  Soft-decision decoding
+Two codes ship here: the (24,12,8) extended Golay code, which supplies the
+fine-coding layer of the 24-dimensional constellation, and the (8,4,4)
+extended Hamming code, a small stand-in for exhaustive tests.  The (n, n-1)
+single-parity-check code of the mod-4 layer (the even sum of D_n in
+H_n = 2 D_n + C) is not built as a code: the lattice decoders enforce it
+with one parity repair (see ``lattices``).  Soft-decision decoding
 is exact maximum likelihood by exhaustive metric scan over the codebook:
 4096 x 24 multiply-adds per Golay decode, which is microseconds with the
 codebook held as one dense array and negligible next to the Monte-Carlo
@@ -21,7 +24,6 @@ __all__ = [
     "SoftDecodeResult",
     "GOLAY",
     "HAMMING8",
-    "parity_encode",
 ]
 
 
@@ -129,14 +131,6 @@ class BinaryBlockCode:
             hi = min(lo + chunk, rows)
             out[lo:hi] = np.argmin(delta[lo:hi] @ self._book_f.T, axis=1)
         return out
-
-
-def parity_encode(message) -> np.ndarray:
-    """Append the XOR of all bits, yielding an even-weight word."""
-    m = np.asarray(message, dtype=np.uint8) % 2
-    if m.ndim != 1 or m.size < 1:
-        raise ValueError("message must be a nonempty bit vector")
-    return np.concatenate([m, [m.sum() % 2]]).astype(np.uint8)
 
 
 # Systematic [I | B] generator of the extended Golay code.  B is the standard

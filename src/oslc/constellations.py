@@ -1,13 +1,16 @@
 """Constellation construction for intensity-constrained lattice signaling.
 
 Three codebook families over n = 24 dimensions, all nonnegative integer point
-sets scaled by a single rational gain kappa:
+sets scaled by a single rational gain kappa, one ``ConstellationSpec``
+subclass each:
 
-* a coset-coded design layering an enumerative shaping alphabet, the extended
-  Golay code, and a two-coset split of the Leech lattice;
-* a shaping-only baseline drawing its points straight from the checkerboard
-  lattice D24;
-* an unshaped cubic baseline (independent uniform levels per coordinate).
+* ``OslcSpec``, a coset-coded design layering an enumerative shaping
+  alphabet, the extended Golay code, and a two-coset split of the Leech
+  lattice;
+* ``TccSpec``, a shaping-only baseline drawing its points straight from the
+  checkerboard lattice D24;
+* ``CubicSpec``, an unshaped cubic baseline (independent uniform levels per
+  coordinate).
 
 kappa is chosen in exact rational arithmetic as the largest gain satisfying
 both constraints: every scaled coordinate stays in [0, 1] and the average
@@ -17,19 +20,27 @@ scaled coordinate stays at or below the intensity target alpha.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .codes import GOLAY, BinaryBlockCode
+from .lattices import XI as XI_MINUS
+from .lattices import decode_shifted_union_batch, nearest_point_dn_batch
 from .shells import TdIndexer, TdParams, TdSampler, TdSelection
 
 __all__ = [
     "AlphabetChoice",
     "ConstellationSpec",
+    "CubicSpec",
     "DemapError",
+    "OslcSpec",
+    "SCHEMES",
+    "TccSpec",
     "XI_PLUS",
     "XI_MINUS",
     "build_cubic_spec",
@@ -51,11 +62,11 @@ LEECH_KISSING = 196560
 DN_MIN_DIST = math.sqrt(2.0)
 DN_KISSING = 2 * 24 * 23
 
-# The two translation vectors that keep coset points nonnegative.  Their
-# difference (8, 0, ..., 0) lies in twice the half lattice, so either choice
-# lands in the same Leech coset.
+# The two translation vectors that keep coset points nonnegative.  XI_MINUS
+# is the Leech coset translation of ``lattices``; their difference
+# (8, 0, ..., 0) lies in twice the half lattice, so either choice lands in the
+# same Leech coset.
 XI_PLUS = np.array([5] + [1] * 23, dtype=np.int64)
-XI_MINUS = np.array([-3] + [1] * 23, dtype=np.int64)
 
 
 class DemapError(ValueError):
@@ -67,10 +78,21 @@ def xi_tilde(h: np.ndarray) -> np.ndarray:
 
     Doubling h and adding either translation yields the same Leech coset; the
     branch is picked from 2*h[0] mod 8 so that the sum stays coordinatewise
-    nonnegative over the shaped alphabet.
+    nonnegative over the shaped alphabet: XI_PLUS when it is 0 or 2, XI_MINUS
+    when it is 4 or 6.  A (B, n) array gets one translation per row.
     """
     h = np.asarray(h)
-    return XI_PLUS if (2 * int(h[0])) % 8 in (0, 2) else XI_MINUS
+    return np.where((2 * h[..., :1]) % 8 < 4, XI_PLUS, XI_MINUS)
+
+
+def _coset_points(d: np.ndarray, c: np.ndarray, a) -> np.ndarray:
+    """Transmitted points 4*d + 2*c + a * xi_tilde(2*d + c).
+
+    d is the shaping point, c the code word and a the coset bit; a single
+    point or one per row of (B, n) arrays with a of shape (B,).
+    """
+    h = 2 * d + c
+    return 2 * h + np.asarray(a)[..., None] * xi_tilde(h)
 
 
 def _as_fraction(alpha) -> Fraction:
@@ -125,25 +147,24 @@ def _oslc_stats(sel: TdSelection, code: BinaryBlockCode) -> tuple[int, Fraction]
     return peak, 4 * sel.mean_l1 + avg_code + avg_shift
 
 
-def _tcc_stats(sel: TdSelection) -> tuple[int, Fraction]:
-    return sel.max_coord, sel.mean_l1
-
-
 def determine_params(
-    n: int, m_s: int, alpha, kind: str = "oslc", code: BinaryBlockCode = GOLAY
+    n: int,
+    m_s: int,
+    alpha,
+    stats: Callable[[TdSelection], tuple[int, Fraction]],
 ) -> AlphabetChoice:
     """Scan box heights and keep the one maximizing the admissible gain.
 
-    For each height H the alphabet is the m_s lowest-sum points in canonical
-    order, L is set by the boundary shell, and kappa(H) is the reciprocal of
-    the binding constraint (peak, or mean divided by n*alpha).  The peak term
-    never decreases in H while the mean term never increases, so the scan can
-    stop a few steps after the two cross; six extra steps cover the small
-    wobble the translation layer adds to the peak.  Ties keep the smaller H.
+    ``stats`` maps a shaping selection to the peak coordinate and exact mean
+    coordinate sum of the design's unscaled point set.  For each height H the
+    alphabet is the m_s lowest-sum points in canonical order, L is set by the
+    boundary shell, and kappa(H) is the reciprocal of the binding constraint
+    (peak, or mean divided by n*alpha).  The peak term never decreases in H
+    while the mean term never increases, so the scan can stop a few steps
+    after the two cross; six extra steps cover the small wobble the
+    translation layer adds to the peak.  Ties keep the smaller H.
     """
     alpha = _as_fraction(alpha)
-    if kind not in ("oslc", "tcc"):
-        raise ValueError(f"no shaping scan for kind {kind!r}")
     best: AlphabetChoice | None = None
     crossing = None
     h = 1
@@ -151,10 +172,7 @@ def determine_params(
         full = TdIndexer(n, h, (n * h) // 2)
         if full.count >= m_s:
             sel = full.selection(m_s)
-            if kind == "oslc":
-                peak, avg = _oslc_stats(sel, code)
-            else:
-                peak, avg = _tcc_stats(sel)
+            peak, avg = stats(sel)
             bound = avg / (n * alpha)
             kappa = 1 / max(Fraction(peak), bound)
             if best is None or kappa > best.kappa:
@@ -169,23 +187,51 @@ def determine_params(
 
 
 @dataclass(frozen=True, eq=False)
-class ConstellationSpec:
-    """Everything needed to map bits, sample, decode, and audit one design."""
+class ConstellationSpec(ABC):
+    """Everything needed to map bits, sample, decode, and audit one design.
 
-    kind: str                     # "oslc", "tcc", or "cubic"
+    Each subclass is one design: it fixes ``kind``, ``d_min_unscaled`` and
+    ``kissing``, builds itself from (beta, alpha), and supplies ``draw`` and
+    ``decode`` for the simulator and ``_map`` / ``_demap`` behind
+    ``map_bits`` / ``demap_point``, which check their inputs first.
+    """
+
+    kind: ClassVar[str]
+    d_min_unscaled: ClassVar[float]
+    kissing: ClassVar[int | None] = None
+
     n: int
     beta: int                     # bits per dimension
     alpha: Fraction               # average-intensity target
     kappa: Fraction               # scaling gain applied to integer points
     peak_unscaled: int            # max coordinate over the integer point set
     avg_l1_unscaled: Fraction     # exact mean coordinate sum
-    k_s: int                      # shaping bits per symbol
-    k_c: int                      # code bits per symbol
-    k_a: int                      # coset bits per symbol
-    td: TdParams | None           # shaping alphabet geometry (None for cubic)
-    code: BinaryBlockCode | None
-    d_min_unscaled: float
-    kissing: int | None
+    k_s: int = 0                  # shaping bits per symbol
+    k_c: int = 0                  # code bits per symbol
+    k_a: int = 0                  # coset bits per symbol
+    td: TdParams | None = None    # shaping alphabet geometry (None for cubic)
+    code: BinaryBlockCode | None = None
+
+    @classmethod
+    @abstractmethod
+    def build(cls, beta: int, alpha) -> ConstellationSpec:
+        """The design at ``beta`` bits per dimension and intensity target ``alpha``."""
+
+    @abstractmethod
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` uniform codebook points, shape (count, n), int64."""
+
+    @abstractmethod
+    def decode(self, w: np.ndarray) -> np.ndarray:
+        """Decision, int64, for each row of the unscaled (B, n) observation."""
+
+    @abstractmethod
+    def _map(self, bits: np.ndarray) -> np.ndarray:
+        """Point for one symbol's checked 0/1 bit vector."""
+
+    @abstractmethod
+    def _demap(self, lam: np.ndarray) -> np.ndarray:
+        """Bits of one int64 point; DemapError outside the codebook."""
 
     @property
     def bits_per_symbol(self) -> int:
@@ -216,105 +262,6 @@ class ConstellationSpec:
         return TdSampler(self.indexer, self.td.m_s)
 
 
-def build_oslc_spec(beta: int, alpha) -> ConstellationSpec:
-    """Shaped coset design: shaping bits + Golay bits + one coset bit."""
-    alpha = _as_fraction(alpha)
-    n, code = 24, GOLAY
-    k_c, k_a = code.k, 1
-    k_s = n * beta - k_c - k_a
-    if k_s < 1:
-        raise ValueError(f"beta={beta} leaves no room for shaping bits")
-    choice = determine_params(n, 1 << k_s, alpha, kind="oslc", code=code)
-    return ConstellationSpec(
-        kind="oslc",
-        n=n,
-        beta=beta,
-        alpha=alpha,
-        kappa=choice.kappa,
-        peak_unscaled=choice.peak_unscaled,
-        avg_l1_unscaled=choice.avg_l1_unscaled,
-        k_s=k_s,
-        k_c=k_c,
-        k_a=k_a,
-        td=choice.params,
-        code=code,
-        d_min_unscaled=LEECH_MIN_DIST,
-        kissing=LEECH_KISSING,
-    )
-
-
-def build_tcc_spec(beta: int, alpha) -> ConstellationSpec:
-    """Shaping-only baseline on D24: all bits index the shaped alphabet."""
-    alpha = _as_fraction(alpha)
-    n = 24
-    k_s = n * beta
-    choice = determine_params(n, 1 << k_s, alpha, kind="tcc")
-    return ConstellationSpec(
-        kind="tcc",
-        n=n,
-        beta=beta,
-        alpha=alpha,
-        kappa=choice.kappa,
-        peak_unscaled=choice.peak_unscaled,
-        avg_l1_unscaled=choice.avg_l1_unscaled,
-        k_s=k_s,
-        k_c=0,
-        k_a=0,
-        td=choice.params,
-        code=None,
-        d_min_unscaled=DN_MIN_DIST,
-        kissing=DN_KISSING,
-    )
-
-
-def build_cubic_spec(beta: int, alpha) -> ConstellationSpec:
-    """Unshaped baseline: independent uniform levels 0..2**beta - 1 scaled by
-    delta = min(1, 2*alpha) / (2**beta - 1), which meets whichever of the peak
-    and mean constraints binds first."""
-    alpha = _as_fraction(alpha)
-    n = 24
-    levels = (1 << beta) - 1
-    if levels < 1:
-        raise ValueError("cubic design needs beta >= 1")
-    delta = min(Fraction(1), 2 * alpha) / levels
-    return ConstellationSpec(
-        kind="cubic",
-        n=n,
-        beta=beta,
-        alpha=alpha,
-        kappa=delta,
-        peak_unscaled=levels,
-        avg_l1_unscaled=Fraction(n * levels, 2),
-        k_s=0,
-        k_c=0,
-        k_a=0,
-        td=None,
-        code=None,
-        d_min_unscaled=1.0,
-        kissing=None,
-    )
-
-
-_BUILDERS = {
-    "oslc": build_oslc_spec,
-    "tcc": build_tcc_spec,
-    "cubic": build_cubic_spec,
-}
-
-
-def build_spec(kind: str, beta: int, alpha) -> ConstellationSpec:
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown constellation kind {kind!r}; pick one of {sorted(_BUILDERS)}"
-        ) from None
-    return builder(beta, alpha)
-
-
-# -- bit mapping -----------------------------------------------------------
-
-
 def _bits_to_int(bits: np.ndarray) -> int:
     value = 0
     for b in bits:
@@ -324,6 +271,207 @@ def _bits_to_int(bits: np.ndarray) -> int:
 
 def _int_to_bits(value: int, width: int) -> list[int]:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def _alphabet_index(spec: ConstellationSpec, d: np.ndarray, what: str) -> int:
+    """Rank of ``d`` in the spec's shaping alphabet, or DemapError."""
+    try:
+        index = spec.indexer.rank(d)
+    except ValueError as exc:
+        raise DemapError(str(exc)) from None
+    if index >= spec.td.m_s:
+        raise DemapError(f"{what} outside the selected alphabet")
+    return index
+
+
+@dataclass(frozen=True, eq=False)
+class OslcSpec(ConstellationSpec):
+    """Shaped coset design on the Leech lattice: shaping bits + Golay bits +
+    one coset bit, laid out big-endian [shaping | code | coset].  The points
+    are ``_coset_points(d, c, a)``."""
+
+    kind = "oslc"
+    d_min_unscaled = LEECH_MIN_DIST
+    kissing = LEECH_KISSING
+
+    @classmethod
+    def build(cls, beta: int, alpha) -> OslcSpec:
+        alpha = _as_fraction(alpha)
+        n, code = 24, GOLAY
+        k_c, k_a = code.k, 1
+        k_s = n * beta - k_c - k_a
+        if k_s < 1:
+            raise ValueError(f"beta={beta} leaves no room for shaping bits")
+        choice = determine_params(n, 1 << k_s, alpha, partial(_oslc_stats, code=code))
+        return cls(
+            n=n,
+            beta=beta,
+            alpha=alpha,
+            kappa=choice.kappa,
+            peak_unscaled=choice.peak_unscaled,
+            avg_l1_unscaled=choice.avg_l1_unscaled,
+            k_s=k_s,
+            k_c=k_c,
+            k_a=k_a,
+            td=choice.params,
+            code=code,
+        )
+
+    def draw(self, rng, count):
+        d = self.sampler.sample(rng, count)
+        c = self.code.codebook[rng.integers(0, 1 << self.k_c, size=count)]
+        a = rng.integers(0, 2, size=count)
+        return _coset_points(d, c, a)
+
+    def decode(self, w):
+        est, _, _ = decode_shifted_union_batch(
+            w, (np.zeros(self.n, dtype=np.int64), XI_MINUS), code=self.code
+        )
+        return est
+
+    def _map(self, bits):
+        d = self.indexer.unrank(_bits_to_int(bits[: self.k_s]))
+        c = self.code.encode(bits[self.k_s : self.k_s + self.k_c])
+        return _coset_points(d, c, int(bits[-1]))
+
+    def _demap(self, lam):
+        parities = lam % 2
+        if (parities != parities[0]).any():
+            raise DemapError("mixed coordinate parities")
+        a = int(parities[0])
+        if a == 0:
+            c = (lam // 2) % 2
+            d4 = lam - 2 * c
+        else:
+            c = ((lam - 1) // 2) % 2
+            first = int(lam[0]) - 5  # assume the +5 translation branch, then repair
+            c[0] = (first % 4) // 2
+            d_first = (first - 2 * int(c[0])) // 4
+            if d_first % 2:
+                d_first += 2  # odd remainder means the -3 branch; parity now agrees
+            shift = XI_MINUS if d_first % 2 else XI_PLUS
+            d4 = lam - 2 * c - shift
+            d4[0] = 4 * d_first
+        if (d4 % 4).any():
+            raise DemapError("residue is not a doubled half-lattice point")
+        if not self.code.is_codeword(c):
+            raise DemapError("code layer is not a codeword")
+        index = _alphabet_index(self, d4 // 4, "shaping point")
+        return np.array(
+            _int_to_bits(index, self.k_s)
+            + [int(b) for b in self.code.message_of(c)]
+            + [a],
+            dtype=np.int64,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class TccSpec(ConstellationSpec):
+    """Shaping-only baseline on D24: all bits form one big-endian index into
+    the shaped alphabet."""
+
+    kind = "tcc"
+    d_min_unscaled = DN_MIN_DIST
+    kissing = DN_KISSING
+
+    @classmethod
+    def build(cls, beta: int, alpha) -> TccSpec:
+        alpha = _as_fraction(alpha)
+        n = 24
+        k_s = n * beta
+        choice = determine_params(
+            n, 1 << k_s, alpha, lambda sel: (sel.max_coord, sel.mean_l1)
+        )
+        return cls(
+            n=n,
+            beta=beta,
+            alpha=alpha,
+            kappa=choice.kappa,
+            peak_unscaled=choice.peak_unscaled,
+            avg_l1_unscaled=choice.avg_l1_unscaled,
+            k_s=k_s,
+            td=choice.params,
+        )
+
+    def draw(self, rng, count):
+        return self.sampler.sample(rng, count)
+
+    def decode(self, w):
+        return nearest_point_dn_batch(w)
+
+    def _map(self, bits):
+        return self.indexer.unrank(_bits_to_int(bits))
+
+    def _demap(self, lam):
+        index = _alphabet_index(self, lam, "point")
+        return np.array(_int_to_bits(index, self.k_s), dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class CubicSpec(ConstellationSpec):
+    """Unshaped baseline: beta big-endian bits per coordinate pick one of the
+    independent uniform levels 0..2**beta - 1, scaled by
+    delta = min(1, 2*alpha) / (2**beta - 1), which meets whichever of the
+    peak and mean constraints binds first."""
+
+    kind = "cubic"
+    d_min_unscaled = 1.0
+
+    @classmethod
+    def build(cls, beta: int, alpha) -> CubicSpec:
+        alpha = _as_fraction(alpha)
+        n = 24
+        levels = (1 << beta) - 1
+        if levels < 1:
+            raise ValueError("cubic design needs beta >= 1")
+        delta = min(Fraction(1), 2 * alpha) / levels
+        return cls(
+            n=n,
+            beta=beta,
+            alpha=alpha,
+            kappa=delta,
+            peak_unscaled=levels,
+            avg_l1_unscaled=Fraction(n * levels, 2),
+        )
+
+    def draw(self, rng, count):
+        return rng.integers(0, self.peak_unscaled + 1, size=(count, self.n))
+
+    def decode(self, w):
+        return np.clip(np.rint(w), 0, self.peak_unscaled).astype(np.int64)
+
+    def _map(self, bits):
+        weights = 1 << np.arange(self.beta - 1, -1, -1, dtype=np.int64)
+        return bits.reshape(self.n, self.beta) @ weights
+
+    def _demap(self, lam):
+        if (lam < 0).any() or (lam > self.peak_unscaled).any():
+            raise DemapError("level out of range")
+        shifts = np.arange(self.beta - 1, -1, -1, dtype=np.int64)
+        return ((lam[:, None] >> shifts) & 1).ravel()
+
+
+build_oslc_spec = OslcSpec.build
+build_tcc_spec = TccSpec.build
+build_cubic_spec = CubicSpec.build
+
+_SPECS = {cls.kind: cls for cls in (OslcSpec, TccSpec, CubicSpec)}
+
+# Scheme names accepted by build_spec, in the order the CLI lists them.
+SCHEMES = tuple(_SPECS)
+
+
+def build_spec(kind: str, beta: int, alpha) -> ConstellationSpec:
+    try:
+        cls = _SPECS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown constellation kind {kind!r}; pick one of {sorted(_SPECS)}"
+        ) from None
+    return cls.build(beta, alpha)
+
+
+# -- bit mapping -----------------------------------------------------------
 
 
 def _check_bits(spec: ConstellationSpec, bits) -> np.ndarray:
@@ -340,62 +488,9 @@ def _check_bits(spec: ConstellationSpec, bits) -> np.ndarray:
 def map_bits(spec: ConstellationSpec, bits) -> np.ndarray:
     """Map one symbol's bits to an unscaled integer constellation point.
 
-    Bit layout is big-endian [shaping | code | coset] for the coset design,
-    one big-endian shaping index for the D24 baseline, and beta bits per
-    coordinate for the cubic baseline.
+    The bit layout is the design's own; see the ConstellationSpec subclasses.
     """
-    arr = _check_bits(spec, bits)
-    if spec.kind == "cubic":
-        weights = 1 << np.arange(spec.beta - 1, -1, -1, dtype=np.int64)
-        return arr.reshape(spec.n, spec.beta) @ weights
-    if spec.kind == "tcc":
-        return spec.indexer.unrank(_bits_to_int(arr))
-    d = spec.indexer.unrank(_bits_to_int(arr[: spec.k_s]))
-    c = spec.code.encode(arr[spec.k_s : spec.k_s + spec.k_c])
-    h = 2 * d + c
-    point = 2 * h
-    if arr[-1]:
-        point = point + xi_tilde(h)
-    return point
-
-
-def _demap_coset_point(spec: ConstellationSpec, lam: np.ndarray) -> list[int]:
-    parities = lam % 2
-    if (parities != parities[0]).any():
-        raise DemapError("mixed coordinate parities")
-    a = int(parities[0])
-    if a == 0:
-        c = (lam // 2) % 2
-        d4 = lam - 2 * c
-    else:
-        c = ((lam - 1) // 2) % 2
-        first = int(lam[0]) - 5  # assume the +5 translation branch, then repair
-        c[0] = (first % 4) // 2
-        d_first = (first - 2 * int(c[0])) // 4
-        if d_first % 2:
-            d_first += 2  # odd remainder means the -3 branch; parity now agrees
-        shift = XI_MINUS if d_first % 2 else XI_PLUS
-        d4 = lam - 2 * c - shift
-        d4[0] = 4 * d_first
-    if (d4 % 4).any():
-        raise DemapError("residue is not a doubled half-lattice point")
-    d = d4 // 4
-    if not spec.code.is_codeword(c):
-        raise DemapError("code layer is not a codeword")
-    td = spec.td
-    if (d < 0).any() or (d > td.h).any():
-        raise DemapError("shaping point outside the box")
-    try:
-        index = spec.indexer.rank(d)
-    except ValueError as exc:
-        raise DemapError(str(exc)) from None
-    if index >= td.m_s:
-        raise DemapError("shaping point outside the selected alphabet")
-    return (
-        _int_to_bits(index, spec.k_s)
-        + [int(b) for b in spec.code.message_of(c)]
-        + [a]
-    )
+    return spec._map(_check_bits(spec, bits))
 
 
 def demap_point(spec: ConstellationSpec, point) -> np.ndarray:
@@ -408,25 +503,7 @@ def demap_point(spec: ConstellationSpec, point) -> np.ndarray:
         if not np.array_equal(rounded, lam):
             raise DemapError("point has non-integer coordinates")
         lam = rounded
-    lam = lam.astype(np.int64)
-    if spec.kind == "cubic":
-        if (lam < 0).any() or (lam > spec.peak_unscaled).any():
-            raise DemapError("level out of range")
-        bits = [
-            (int(v) >> (spec.beta - 1 - i)) & 1
-            for v in lam
-            for i in range(spec.beta)
-        ]
-        return np.array(bits, dtype=np.int64)
-    if spec.kind == "tcc":
-        try:
-            index = spec.indexer.rank(lam)
-        except ValueError as exc:
-            raise DemapError(str(exc)) from None
-        if index >= spec.td.m_s:
-            raise DemapError("point outside the selected alphabet")
-        return np.array(_int_to_bits(index, spec.k_s), dtype=np.int64)
-    return np.array(_demap_coset_point(spec, lam), dtype=np.int64)
+    return spec._demap(lam.astype(np.int64))
 
 
 def spec_to_json(spec: ConstellationSpec) -> dict:

@@ -23,7 +23,6 @@ __all__ = [
     "OsnrMap",
     "RoomConfig",
     "SerSurvey",
-    "average_ser",
     "chip_positions",
     "lambertian_gain",
     "link_budget",
@@ -290,23 +289,3 @@ def survey_ser(
         errors=total_errors,
         ser=total_errors / total_trials,
     )
-
-
-def average_ser(
-    room: RoomConfig,
-    spec: ConstellationSpec,
-    n_positions: int,
-    trials_per_pos: int,
-    seed: int,
-    *,
-    threads: int = 1,
-) -> float:
-    """Position-averaged symbol error rate (see survey_ser for details)."""
-    return survey_ser(
-        room,
-        spec,
-        n_positions=n_positions,
-        trials_per_pos=trials_per_pos,
-        seed=seed,
-        threads=threads,
-    ).ser

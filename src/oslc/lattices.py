@@ -19,26 +19,24 @@ Tie rules are pinned down everywhere so results are reproducible: halves
 round toward the smaller integer, and among equal candidates the smallest
 coordinate index (or first-listed coset) wins.
 
-Every decoder has a batch form operating on (B, n) arrays; the scalar forms
-are thin wrappers.  All arithmetic is float64; decisions are exact ML for
-U_n and D_n, bounded-distance for H_n and the coset union.
+Every decoder operates on (B, n) arrays, one received vector per row; a
+single vector is decoded as a one-row batch.  All arithmetic is float64;
+decisions are exact ML for U_n and D_n, bounded-distance for H_n and the
+coset union.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import GOLAY, BinaryBlockCode
 
 __all__ = [
-    "DecodedLatticePoint",
     "XI",
-    "nearest_point_dn",
-    "closest_point_construction_a",
-    "bdd_half_lattice",
-    "decode_shifted_union",
+    "nearest_point_dn_batch",
+    "closest_point_construction_a_batch",
+    "bdd_half_lattice_batch",
+    "decode_shifted_union_batch",
     "in_dn",
     "in_construction_a",
     "in_half_lattice",
@@ -46,13 +44,6 @@ __all__ = [
 
 # Canonical translation vector joining the two Leech half-lattice cosets.
 XI = np.array([-3] + [1] * 23, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class DecodedLatticePoint:
-    point: np.ndarray
-    distance_sq: float
-    coset_index: int
 
 
 # -- membership predicates (exact integer tests) ---------------------------
@@ -83,8 +74,16 @@ def _round_half_down(y: np.ndarray) -> np.ndarray:
 
 
 def nearest_point_dn_batch(y: np.ndarray) -> np.ndarray:
-    """Exact closest checkerboard point for each row of y, shape (B, n)."""
+    """Exact closest checkerboard point for each row of y, shape (B, n).
+
+    Round every coordinate (halves toward the smaller integer); if a row's
+    sum came out odd, re-round the coordinate with the largest rounding error
+    the other way (smallest index on ties, upward when the error is exactly
+    zero).  Each result is a true closest point; only the tie choice is ours.
+    """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if y.ndim != 2 or y.shape[1] < 2:
+        raise ValueError("expected vectors of dimension >= 2")
     z = _round_half_down(y)
     odd = (z.sum(axis=1).astype(np.int64) & 1).astype(bool)
     if odd.any():
@@ -96,20 +95,6 @@ def nearest_point_dn_batch(y: np.ndarray) -> np.ndarray:
         zf[rows, i] += step
         z[odd] = zf
     return z.astype(np.int64)
-
-
-def nearest_point_dn(y) -> np.ndarray:
-    """Closest point of D_n to y.
-
-    Round every coordinate (halves toward the smaller integer); if the sum
-    came out odd, re-round the coordinate with the largest rounding error the
-    other way (smallest index on ties, upward when the error is exactly zero).
-    The result is always a true closest point; only the tie choice is ours.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("expected a single vector of dimension >= 2")
-    return nearest_point_dn_batch(y[None, :])[0]
 
 
 # -- U_n = 2 Z^n + C ---------------------------------------------------------
@@ -129,7 +114,10 @@ def _representative_costs(w: np.ndarray):
 def closest_point_construction_a_batch(w: np.ndarray, code: BinaryBlockCode = GOLAY):
     """Exact closest points of 2Z^n + C for rows of w.
 
-    Returns (points (B, n) int64, codeword message indices (B,)).
+    Per coordinate the best even and best odd integers are costed; the code's
+    exhaustive soft-ML decode then picks the globally optimal parity pattern,
+    which is the exact lattice ML because coordinates decouple given the
+    codeword.  Returns (points (B, n) int64, codeword message indices (B,)).
     """
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     if w.shape[1] != code.n:
@@ -141,23 +129,18 @@ def closest_point_construction_a_batch(w: np.ndarray, code: BinaryBlockCode = GO
     return u.astype(np.int64), idx
 
 
-def closest_point_construction_a(w, code: BinaryBlockCode = GOLAY) -> np.ndarray:
-    """Exact closest point of the mod-2 code lattice 2Z^n + C to w.
-
-    Per coordinate the best even and best odd integers are costed; the code's
-    exhaustive soft-ML decode then picks the globally optimal parity pattern,
-    which is the exact lattice ML because coordinates decouple given the
-    codeword.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    u, _ = closest_point_construction_a_batch(w[None, :], code)
-    return u[0]
-
-
 # -- H_n = 2 D_n + C ---------------------------------------------------------
 
 
 def bdd_half_lattice_batch(w: np.ndarray, code: BinaryBlockCode = GOLAY) -> np.ndarray:
+    """Bounded-distance decode of each row of w into H_n = 2 D_n + C.
+
+    Exact closest point in U_n first; if the integer layer has odd sum, one
+    coordinate is moved by 2 toward w, namely the one with the largest
+    residual error (smallest index on ties, upward when the error is exactly
+    zero).  Guaranteed to return the true closest H_n point whenever
+    dist(w, H_n) is below the packing radius sqrt(2).
+    """
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     u, idx = closest_point_construction_a_batch(w, code)
     bits = code.codebook[idx]
@@ -174,19 +157,6 @@ def bdd_half_lattice_batch(w: np.ndarray, code: BinaryBlockCode = GOLAY) -> np.n
     return u
 
 
-def bdd_half_lattice(w, code: BinaryBlockCode = GOLAY) -> np.ndarray:
-    """Bounded-distance decode into H_n = 2 D_n + C.
-
-    Exact closest point in U_n first; if the integer layer has odd sum, one
-    coordinate is moved by 2 toward w, namely the one with the largest
-    residual error (smallest index on ties).  Guaranteed to return the
-    true closest H_n point whenever dist(w, H_n) is below the packing
-    radius sqrt(2).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    return bdd_half_lattice_batch(w[None, :], code)[0]
-
-
 # -- coset unions (Leech via two translated copies of 2 H_24) ----------------
 
 
@@ -198,7 +168,11 @@ def decode_shifted_union_batch(
 ):
     """Minimum-distance decode over union_a (scale * H_n + a), batched.
 
-    Returns (points (B, n) int64, distance_sq (B,), coset_index (B,)).
+    Each coset a contributes the candidate scale * bdd((y - a)/scale) + a;
+    the closest candidate wins (first-listed coset on exact ties).  With
+    cosets (0, XI) and scale 2 at n = 24 this is the Leech lattice decoder,
+    bounded-distance optimal within radius 2*sqrt(2).  Returns
+    (points (B, n) int64, distance_sq (B,), coset_index (B,)).
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if len(cosets) == 0:
@@ -220,17 +194,3 @@ def decode_shifted_union_batch(
             best_d = np.where(better, d, best_d)
             best_a = np.where(better, ai, best_a)
     return best_pt, best_d, best_a
-
-
-def decode_shifted_union(y, cosets, scale: int = 2,
-                         code: BinaryBlockCode = GOLAY) -> DecodedLatticePoint:
-    """Decode y against the union of translated, scaled half-lattices.
-
-    Each coset a contributes the candidate scale * bdd((y - a)/scale) + a;
-    the closest candidate wins (first-listed coset on exact ties).  With
-    cosets (0, XI) and scale 2 at n = 24 this is the Leech lattice decoder,
-    bounded-distance optimal within radius 2*sqrt(2).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    pt, d, a = decode_shifted_union_batch(y[None, :], cosets, scale, code)
-    return DecodedLatticePoint(point=pt[0], distance_sq=float(d[0]), coset_index=int(a[0]))

@@ -120,7 +120,7 @@ def _check_dn_nearest(rng):
     n = 4
     for _ in range(300):
         y = rng.uniform(-3, 3, n)
-        fast = lattices.nearest_point_dn(y)
+        fast = lattices.nearest_point_dn_batch(y)[0]
         base = np.floor(y).astype(np.int64) - 1
         best = None
         for off in itertools.product(range(4), repeat=n):
@@ -185,16 +185,16 @@ def _check_shell_counts():
         ((1, 5, 2), 3),
     )
     for (n, h, l), want in frozen:
-        got = shells.count_td(n, h, l)
+        got = shells.TdIndexer(n, h, l).count
         if got != want:
-            return False, f"count_td{(n, h, l)} = {got}, want {want}"
+            return False, f"|TD{(n, h, l)}| = {got}, want {want}"
     n, h, l = 5, 3, 4
     brute = sum(
         1
         for p in itertools.product(range(h + 1), repeat=n)
         if sum(p) % 2 == 0 and sum(p) <= 2 * l
     )
-    if shells.count_td(n, h, l) != brute:
+    if shells.TdIndexer(n, h, l).count != brute:
         return False, f"DP disagrees with enumeration at {(n, h, l)}"
     return True, "frozen counts and 5-dim enumeration agree"
 

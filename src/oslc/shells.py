@@ -29,10 +29,6 @@ __all__ = [
     "TdIndexer",
     "TdSelection",
     "TdSampler",
-    "count_td",
-    "index_to_point",
-    "point_to_index",
-    "l1_stats",
 ]
 
 
@@ -80,6 +76,7 @@ class TdIndexer:
 
     Canonical order sorts points by ell-1 norm (coordinate sum) first and
     lexicographically within a shell.  Index 0 is always the origin.
+    ``count`` is the cardinality of TD(n, H, 2L).
     """
 
     def __init__(self, n: int, h: int, l: int):
@@ -416,23 +413,3 @@ class TdSampler:
         if (s != 0).any():  # pragma: no cover - would mean a broken cdf table
             raise AssertionError("sampler left a nonzero coordinate budget")
         return out
-
-
-# -- module-level convenience wrappers ------------------------------------
-
-
-def count_td(n: int, h: int, l: int) -> int:
-    """Cardinality of TD(n, H=h, 2L=2l): even-sum points of {0..h}^n, sum <= 2l."""
-    return TdIndexer(n, h, l).count
-
-
-def index_to_point(index: int, n: int, h: int, l: int) -> np.ndarray:
-    return TdIndexer(n, h, l).unrank(index)
-
-
-def point_to_index(point, n: int, h: int, l: int) -> int:
-    return TdIndexer(n, h, l).rank(point)
-
-
-def l1_stats(n: int, h: int, l: int, m_s: int) -> TdSelection:
-    return TdIndexer(n, h, l).selection(m_s)

@@ -12,14 +12,18 @@ on the committed prefix only.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellations import XI_MINUS, XI_PLUS, ConstellationSpec
-from .lattices import decode_shifted_union_batch, nearest_point_dn_batch
+from .constellations import ConstellationSpec, CubicSpec
+
+# Unused here, but kept: bench/test_harness.py checks that the span tracer
+# replaces this imported name and restores it.
+from .lattices import nearest_point_dn_batch  # noqa: F401
 
 __all__ = [
     "SerRecord",
@@ -63,7 +67,7 @@ def union_bound_ser(spec: ConstellationSpec, osnr_db):
 
 def cubic_ser_formula(spec: ConstellationSpec, osnr_db):
     """Exact symbol error rate of the unshaped per-coordinate design."""
-    if spec.kind != "cubic":
+    if not isinstance(spec, CubicSpec):
         raise ValueError("closed-form SER applies to the cubic design only")
     sigma = osnr_to_sigma(osnr_db)
     levels = spec.peak_unscaled + 1
@@ -115,32 +119,14 @@ def _simulate_batch(
 ) -> int:
     """Run one batch and return its error count.
 
-    The draw order inside a batch is fixed (points, code words, coset bits,
-    noise), so the outcome depends only on (spec, sigma, seed, batch_index,
-    count).
+    The draw order inside a batch is fixed (the spec's own draws: points, then
+    code words and coset bits where the design has them; then noise), so the
+    outcome depends only on (spec, sigma, seed, batch_index, count).
     """
     rng = _batch_generator(seed, batch_index)
-    noise_gain = sigma / float(spec.kappa)
-    if spec.kind == "cubic":
-        lam = rng.integers(0, spec.peak_unscaled + 1, size=(count, spec.n))
-        w = lam + noise_gain * rng.standard_normal((count, spec.n))
-        est = np.clip(np.rint(w), 0, spec.peak_unscaled).astype(np.int64)
-        return int((est != lam).any(axis=1).sum())
-    if spec.kind == "tcc":
-        lam = spec.sampler.sample(rng, count)
-        w = lam + noise_gain * rng.standard_normal((count, spec.n))
-        est = nearest_point_dn_batch(w)
-        return int((est != lam).any(axis=1).sum())
-    d = spec.sampler.sample(rng, count)
-    c = spec.code.codebook[rng.integers(0, 1 << spec.k_c, size=count)]
-    a = rng.integers(0, 2, size=count)
-    shift = np.where((d[:, 0] % 2 == 1)[:, None], XI_MINUS, XI_PLUS)
-    lam = 4 * d + 2 * c + a[:, None] * shift
-    w = lam + noise_gain * rng.standard_normal((count, spec.n))
-    est, _, _ = decode_shifted_union_batch(
-        w, (np.zeros(spec.n, dtype=np.int64), XI_MINUS), code=spec.code
-    )
-    return int((est != lam).any(axis=1).sum())
+    lam = spec.draw(rng, count)
+    w = lam + (sigma / float(spec.kappa)) * rng.standard_normal((count, spec.n))
+    return int((spec.decode(w) != lam).any(axis=1).sum())
 
 
 _POOL_STATE: tuple | None = None
@@ -171,10 +157,20 @@ def simulate_ser(
 
     Runs batches until the committed error count reaches target_errors (if
     set) or the committed trial count reaches max_trials.  The committed
-    sequence, and hence the returned counts, do not depend on ``threads``.
+    sequence, and hence the returned counts, do not depend on ``threads``,
+    which is capped at the number of CPUs this process may run on.
     """
+    if not math.isfinite(osnr_db):
+        raise ValueError(f"osnr_db must be finite, got {osnr_db}")
+    if target_errors is not None and target_errors < 1:
+        raise ValueError("target_errors must be positive (or None)")
     if max_trials < 1:
         raise ValueError("max_trials must be positive")
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    threads = min(threads, len(os.sched_getaffinity(0)))
     sigma = float(osnr_to_sigma(osnr_db))
 
     def batch_count(index: int) -> int:

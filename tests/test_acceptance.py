@@ -170,7 +170,7 @@ def test_criterion_08_shell_indexer_exhaustive():
     for _ in range(5):
         h = int(rng.integers(1, 6))
         l = int(rng.integers(1, 4 * h + 1))
-        assert shells.count_td(8, h, l) == member_sums(h, l).size, (h, l)
+        assert shells.TdIndexer(8, h, l).count == member_sums(h, l).size, (h, l)
 
     indexer = shells.TdIndexer(8, 7, 14)
     seen = set()
@@ -280,7 +280,7 @@ def test_criterion_12_indoor_scenario_reproduction():
     ]
     for kind, alpha, expected, n_pos, trials, factor in table:
         spec = con.build_spec(kind, 5, alpha)
-        got = indoor.average_ser(room, spec, n_pos, trials, 0)
+        got = indoor.survey_ser(room, spec, n_positions=n_pos, trials_per_pos=trials, seed=0).ser
         print(f"criterion 12: {kind} alpha {alpha} ser {got:.4e} vs {expected:.4e}")
         assert expected / factor < got < expected * factor, (kind, alpha, got)
 

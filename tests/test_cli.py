@@ -3,9 +3,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oslc
 from oslc import shaping
 from oslc.cli import main
 
@@ -189,6 +194,25 @@ class TestUsageErrors:
     def test_missing_scheme_exits_2(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["ser", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--batch-size", "0"), ("--target-errors", "0"), ("--osnr", "nan"),
+         ("--threads", "0")],
+    )
+    def test_bad_run_budget_exits_2(self, tmp_path, flags):
+        # a separate process with a timeout, so a loop that never advances
+        # fails the test instead of hanging the suite
+        env = dict(os.environ, PYTHONPATH=str(Path(oslc.__file__).parents[1]))
+        argv = ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "14",
+                "--max-trials", "4096", "--out", str(tmp_path / "x.csv"), *flags]
+        proc = subprocess.run(
+            [sys.executable, "-m", "oslc.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("oslc: ")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestConfigFile:

@@ -141,25 +141,34 @@ class TestSoftDecode:
             assert metric == pytest.approx(one.metric, abs=1e-12)
 
 
+def parity_encode(message):
+    """Systematic single-parity-check encoding: append the XOR of all bits."""
+    k = len(message)
+    code = codes.BinaryBlockCode(
+        np.hstack([np.eye(k, dtype=np.uint8), np.ones((k, 1), dtype=np.uint8)])
+    )
+    return code.encode(message)
+
+
 class TestParityCode:
     def test_even_weight_input(self):
-        out = codes.parity_encode(np.array([1, 0, 1]))
+        out = parity_encode(np.array([1, 0, 1]))
         assert np.array_equal(out, [1, 0, 1, 0])
 
     def test_odd_weight_input(self):
-        out = codes.parity_encode(np.array([1, 0, 0]))
+        out = parity_encode(np.array([1, 0, 0]))
         assert np.array_equal(out, [1, 0, 0, 1])
 
     def test_all_outputs_even_weight_n6(self):
         for bits in itertools.product((0, 1), repeat=5):
-            out = codes.parity_encode(np.array(bits))
+            out = parity_encode(np.array(bits))
             assert out.sum() % 2 == 0
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_equals_even_weight_subcode(self, n):
         spanned = set()
         for bits in itertools.product((0, 1), repeat=n - 1):
-            spanned.add(tuple(codes.parity_encode(np.array(bits)).tolist()))
+            spanned.add(tuple(parity_encode(np.array(bits)).tolist()))
         even = {
             w
             for w in itertools.product((0, 1), repeat=n)

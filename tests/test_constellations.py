@@ -51,6 +51,12 @@ class TestTranslationRule:
         assert np.all(con.XI_PLUS[1:] == 1)
         assert np.all(con.XI_MINUS[1:] == 1)
 
+    def test_rows_pick_their_own_branch(self):
+        h = np.zeros((4, 24), dtype=np.int64)
+        h[:, 0] = [0, 1, 2, 3]
+        want = [con.XI_PLUS, con.XI_PLUS, con.XI_MINUS, con.XI_MINUS]
+        assert np.array_equal(con.xi_tilde(h), want)
+
 
 class TestOslcBuild:
     def test_beta4_shape(self, oslc_b4):
@@ -325,6 +331,16 @@ class TestCodeUniformity:
         sigma = math.sqrt(var / m)
         want = float(oslc_b2.avg_l1_unscaled)
         assert abs(mean - want) < 3 * sigma
+
+
+@pytest.mark.parametrize("kind", con.SCHEMES)
+def test_simulator_draws_are_codebook_points(kind):
+    spec = con.build_spec(kind, 2, 0.2)
+    points = spec.draw(np.random.default_rng(23), 512)
+    assert points.shape == (512, spec.n)
+    for p in points:
+        assert np.array_equal(con.map_bits(spec, con.demap_point(spec, p)), p)
+    assert np.array_equal(spec.decode(points.astype(np.float64)), points)
 
 
 class TestDispatchAndExport:

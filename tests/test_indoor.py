@@ -171,8 +171,8 @@ class TestSurvey:
 
     def test_estimator_converges_with_position_count(self, room):
         spec = con.build_cubic_spec(5, 0.2)
-        a = indoor.average_ser(room, spec, 20, 2000, 31)
-        b = indoor.average_ser(room, spec, 40, 2000, 31)
+        a = indoor.survey_ser(room, spec, n_positions=20, trials_per_pos=2000, seed=31).ser
+        b = indoor.survey_ser(room, spec, n_positions=40, trials_per_pos=2000, seed=31).ser
         assert abs(a - b) < 0.05
         assert 0.25 < a < 0.5
 
@@ -194,5 +194,5 @@ class TestPublishedAverage:
         # position-averaged SER for the shaped design at alpha = 0.2;
         # published table value 7.501e-4, verified here within a factor of 3
         spec = con.build_oslc_spec(5, 0.2)
-        got = indoor.average_ser(room, spec, 30, 30_000, 0)
+        got = indoor.survey_ser(room, spec, n_positions=30, trials_per_pos=30_000, seed=0).ser
         assert 7.501e-4 / 3.0 < got < 7.501e-4 * 3.0

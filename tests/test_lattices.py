@@ -3,20 +3,15 @@
 import numpy as np
 import pytest
 
-from oslc import lattices
 from oslc.codes import GOLAY, HAMMING8
 from oslc.lattices import (
     XI,
-    bdd_half_lattice,
     bdd_half_lattice_batch,
-    closest_point_construction_a,
     closest_point_construction_a_batch,
-    decode_shifted_union,
     decode_shifted_union_batch,
     in_construction_a,
     in_dn,
     in_half_lattice,
-    nearest_point_dn,
     nearest_point_dn_batch,
 )
 
@@ -44,7 +39,7 @@ def noise_inside_ball(rng, count, n, radius):
 class TestCheckerboard:
     def test_two_dim_tie_is_resolved_deterministically(self):
         y = np.array([0.1, 0.9])
-        first = nearest_point_dn(y)
+        first = nearest_point_dn_batch(y)[0]
         assert int(first.sum()) % 2 == 0
         # both even-sum corners of the unit box sit at squared distance 0.82
         box = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -54,7 +49,7 @@ class TestCheckerboard:
         assert ((y - first) ** 2).sum() == pytest.approx(best, abs=1e-15)
         assert best == pytest.approx(0.82, abs=1e-15)
         for _ in range(3):
-            assert np.array_equal(nearest_point_dn(y), first)
+            assert np.array_equal(nearest_point_dn_batch(y)[0], first)
 
     def test_lattice_point_is_fixed(self):
         rng = np.random.default_rng(5)
@@ -84,7 +79,7 @@ class TestCheckerboard:
 
     def test_rejects_scalar_input(self):
         with pytest.raises(ValueError):
-            nearest_point_dn(np.array([1.5]))
+            nearest_point_dn_batch(np.array([1.5]))
 
 
 class TestConstructionA:
@@ -135,7 +130,7 @@ class TestConstructionA:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            closest_point_construction_a(np.zeros(23))
+            closest_point_construction_a_batch(np.zeros(23))
 
 
 class TestHalfLattice:
@@ -180,11 +175,11 @@ class TestHalfLattice:
         bump = np.zeros(24)
         bump[2] = 0.3
         bump[7] = 0.3
-        out = bdd_half_lattice(u + bump)
+        out = bdd_half_lattice_batch(u + bump)[0]
         want = u.copy()
         want[2] += 2
         assert np.array_equal(out, want)
-        out = bdd_half_lattice(u - bump)
+        out = bdd_half_lattice_batch(u - bump)[0]
         want = u.copy()
         want[2] -= 2
         assert np.array_equal(out, want)
@@ -194,7 +189,7 @@ class TestHalfLattice:
         h = random_half_lattice_points(rng, 1)[0]
         u = h.copy()
         u[5] += 2
-        out = bdd_half_lattice(u.astype(float))
+        out = bdd_half_lattice_batch(u.astype(float))[0]
         want = u.copy()
         want[0] += 2
         assert np.array_equal(out, want)
@@ -242,12 +237,14 @@ class TestShiftedUnion:
         _, _, idx = decode_shifted_union_batch(y, (zero, zero))
         assert np.all(idx == 0)
 
-    def test_scalar_wrapper_fields(self):
-        res = decode_shifted_union(XI.astype(float), (np.zeros(24, dtype=np.int64), XI))
-        assert isinstance(res, lattices.DecodedLatticePoint)
-        assert res.distance_sq == 0.0
-        assert res.coset_index == 1
-        assert np.array_equal(res.point, XI)
+    def test_single_vector_fields(self):
+        pts, d2, idx = decode_shifted_union_batch(
+            XI.astype(float), (np.zeros(24, dtype=np.int64), XI)
+        )
+        assert (pts.shape, d2.shape, idx.shape) == ((1, 24), (1,), (1,))
+        assert d2[0] == 0.0
+        assert idx[0] == 1
+        assert np.array_equal(pts[0], XI)
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(89)
@@ -262,7 +259,7 @@ class TestShiftedUnion:
 
     def test_empty_coset_list_rejected(self):
         with pytest.raises(ValueError):
-            decode_shifted_union(np.zeros(24), ())
+            decode_shifted_union_batch(np.zeros(24), ())
 
 
 class TestMembershipPredicates:

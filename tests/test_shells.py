@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oslc import shells
-from oslc.shells import TdIndexer, TdParams, TdSampler, count_td
+from oslc.shells import TdIndexer, TdParams, TdSampler
 
 
 def enumerate_set(n, h, l):
@@ -29,14 +28,14 @@ def canonical_sort(points):
 class TestCounting:
     def test_tiny_example(self):
         # {0,1}^2, even sum <= 2: exactly (0,0) and (1,1)
-        assert count_td(2, 1, 1) == 2
+        assert TdIndexer(2, 1, 1).count == 2
 
     def test_full_box_is_half_of_all_points(self):
-        assert count_td(4, 3, 6) == 128
-        assert count_td(4, 3, 6) == 4**4 // 2
+        assert TdIndexer(4, 3, 6).count == 128
+        assert TdIndexer(4, 3, 6).count == 4**4 // 2
 
     def test_one_dimensional_listing(self):
-        assert count_td(1, 5, 2) == 3  # values 0, 2, 4
+        assert TdIndexer(1, 5, 2).count == 3  # values 0, 2, 4
 
     @given(
         st.integers(1, 5),
@@ -45,14 +44,14 @@ class TestCounting:
     )
     @settings(max_examples=40)
     def test_matches_exhaustive_enumeration(self, n, h, l):
-        assert count_td(n, h, l) == len(enumerate_set(n, h, l))
+        assert TdIndexer(n, h, l).count == len(enumerate_set(n, h, l))
 
     def test_large_counts_are_exact_integers(self):
-        big = count_td(24, 43, 106)
+        big = TdIndexer(24, 43, 106).count
         assert isinstance(big, int)
         assert big > 2**107
         # spot parity identity: doubling H on a full box doubles per-axis
-        full = count_td(6, 7, 21)
+        full = TdIndexer(6, 7, 21).count
         assert full == 8**6 // 2
 
 
@@ -104,20 +103,20 @@ class TestRankUnrank:
         with pytest.raises(ValueError):
             idx.rank([1, 1, 0])  # wrong length
 
-    def test_module_level_helpers(self):
-        p = shells.index_to_point(5, 6, 3, 4)
-        assert shells.point_to_index(p, 6, 3, 4) == 5
+    def test_fresh_indexers_agree(self):
+        p = TdIndexer(6, 3, 4).unrank(5)
+        assert TdIndexer(6, 3, 4).rank(p) == 5
 
 
 class TestSelectionStats:
     def test_single_point_selection(self):
-        sel = shells.l1_stats(6, 3, 4, 1)
+        sel = TdIndexer(6, 3, 4).selection(1)
         assert sel.sum_l1 == 0
         assert sel.mean_l1 == 0
 
     def test_full_box_mean(self):
         pts = enumerate_set(4, 1, 2)
-        sel = shells.l1_stats(4, 1, 2, len(pts))
+        sel = TdIndexer(4, 1, 2).selection(len(pts))
         want = Fraction(sum(sum(p) for p in pts), len(pts))
         assert sel.mean_l1 == want
 
@@ -134,7 +133,7 @@ class TestSelectionStats:
             return
         m_s = max(1, min(len(pts), m_frac * len(pts) // 150))
         prefix = pts[:m_s]
-        sel = shells.l1_stats(n, h, l, m_s)
+        sel = TdIndexer(n, h, l).selection(m_s)
         assert sel.sum_l1 == sum(sum(p) for p in prefix)
         firsts = [p[0] for p in prefix]
         want_hist = [firsts.count(v) for v in range(h + 1)]

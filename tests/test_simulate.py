@@ -165,6 +165,43 @@ class TestSimulateSer:
         with pytest.raises(ValueError):
             sim.simulate_ser(cubic_b2, 20.0, max_trials=0)
 
+    def test_rejects_empty_batches(self, cubic_b2):
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="batch_size"):
+                sim.simulate_ser(cubic_b2, 20.0, batch_size=0, threads=threads)
+
+    def test_rejects_zero_error_target(self, cubic_b2):
+        with pytest.raises(ValueError, match="target_errors"):
+            sim.simulate_ser(cubic_b2, 20.0, target_errors=0)
+
+    @pytest.mark.parametrize("osnr", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_osnr(self, cubic_b2, osnr):
+        with pytest.raises(ValueError, match="osnr_db"):
+            sim.simulate_ser(cubic_b2, osnr)
+        with pytest.raises(ValueError, match="osnr_db"):
+            sim.ser_sweep(cubic_b2, [osnr])
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_fewer_than_one_thread(self, cubic_b2, threads):
+        with pytest.raises(ValueError, match="threads"):
+            sim.simulate_ser(cubic_b2, 20.0, threads=threads)
+
+    def test_threads_are_capped_at_usable_cpus(self, cubic_b2, monkeypatch):
+        # the fake pool records its size and refuses to start, so no worker
+        # process is ever launched
+        asked = []
+
+        class NoPool:
+            def __init__(self, max_workers, **kwargs):
+                asked.append(max_workers)
+                raise RuntimeError("pool refused")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with pytest.raises(RuntimeError, match="pool refused"):
+            sim.simulate_ser(cubic_b2, 20.0, threads=64, max_trials=8192)
+        assert asked == [3]
+
 
 class TestNoiseCalibration:
     def test_generator_variance_within_half_percent(self):
