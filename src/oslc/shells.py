@@ -335,12 +335,12 @@ class TdSampler:
         self._shell_cdf = cum
         self._s_star = s_star
 
-        # Conditional cdf tables for complete shells: _coord_cdf[m][s, v] is
+        # Conditional cdf tables for complete shells: coord_cdf[m][s, v] is
         # P(coordinate <= v | m coordinates remain with total sum s).
         floats = [np.array([float(x) for x in row]) for row in indexer._table]
-        self._coord_cdf: list[np.ndarray | None] = [None] * (n + 1)
+        coord_cdf: list[np.ndarray | None] = [None] * (n + 1)
         for m in range(1, n + 1):
-            tab = np.ones((s_star + 1, h + 1))
+            tab = np.ones((s_star + 2, h + 1))  # last row: the boundary row, set below
             tot = floats[m]
             for s in range(s_star + 1):
                 if s > m * h or tot[s] == 0.0:
@@ -355,11 +355,11 @@ class TdSampler:
                 row = np.cumsum(blocks) / tot[s]
                 tab[s, :vmax + 1] = np.minimum(row, 1.0)
                 tab[s, vmax] = 1.0
-            self._coord_cdf[m] = tab
+            coord_cdf[m] = tab
 
         # Boundary-shell staircase: per depth j a cutoff value and a cdf row.
         self._b_vcut = np.full(n, -1, dtype=np.int64)
-        self._b_cdf = np.ones((n, h + 1))
+        b_cdf = np.ones((n, h + 1))
         self._b_alive = [False] * (n + 1)
         if partial < indexer.shell_sizes[k_star]:
             self._b_alive[0] = True
@@ -383,29 +383,48 @@ class TdSampler:
                 for v in range(v_cut):
                     run += indexer._sub_count(m - 1, s_b - v)
                     row[v] = run / rem
-                self._b_cdf[j] = row
+                b_cdf[j] = row
                 self._b_vcut[j] = v_cut
                 if r_in == blk:
                     break  # prefix ends on a block boundary; no deeper cutoff
                 self._b_alive[j + 1] = True
                 rem, s_b = r_in, s_b - v_cut
 
+        # What sample() searches at depth j: the rows of coord_cdf[n - j],
+        # then the boundary row b_cdf[j] as row s_star + 1.
+        self._tables = [coord_cdf[n - j] for j in range(n)]
+        for j, table in enumerate(self._tables):
+            table[s_star + 1] = b_cdf[j]
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` points, shape (count, n), dtype int64."""
+        """Draw ``count`` points, shape (count, n), dtype int64.
+
+        Each coordinate is the number of entries of its cdf row at or below
+        its uniform draw.  The rows are nondecreasing and end at 1.0, so that
+        count comes from a branch-free binary search over the h + 1 entries:
+        with P the largest power of two <= h + 1, one probe at offset
+        h + 1 - P, then probes P/2, P/4, ..., 1 further on.
+        """
         n, h = self.indexer.n, self.indexer.h
+        width = h + 1
+        top = 1 << (width.bit_length() - 1)
+        steps = [top >> i for i in range(1, top.bit_length())]
+        if width > top:
+            steps.insert(0, width - top)
         u = rng.random(count)
         k = np.searchsorted(self._shell_cdf, u, side="right")
         s = (2 * k).astype(np.int64)
         boundary = (s == self._s_star) & self._b_alive[0]
         out = np.empty((count, n), dtype=np.int64)
         for j in range(n):
-            m = n - j
             u = rng.random(count)
-            rows = self._coord_cdf[m][s]
-            if boundary.any():
-                rows = rows.copy()
-                rows[boundary] = self._b_cdf[j]
-            v = np.sum(rows <= u[:, None], axis=1)
+            flat = self._tables[j].ravel()
+            # pos is the flat index of the last entry counted so far
+            start = np.where(boundary, self._s_star + 1, s) * width - 1
+            pos = start.copy()
+            for step in steps:
+                pos += step * (flat.take(pos + step) <= u)
+            v = pos - start
             out[:, j] = v
             s -= v
             if j + 1 < n:

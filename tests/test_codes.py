@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oslc import codes
@@ -139,6 +139,72 @@ class TestSoftDecode:
             metric = float(np.where(word == 1, cost1[i], cost0[i]).sum())
             assert np.array_equal(word, one.codeword)
             assert metric == pytest.approx(one.metric, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            codes.GOLAY,
+            codes.HAMMING8,
+            codes.BinaryBlockCode(
+                np.hstack([np.eye(9, dtype=np.uint8), np.ones((9, 1), dtype=np.uint8)])
+            ),
+        ],
+        ids=["golay", "hamming8", "even10"],
+    )
+    def test_block_decoder_matches_exhaustive_scan(self, code):
+        # Rows near a codeword with 0..4 unreliable coordinates, plus rows of
+        # exact ties (zero, rounded or small-integer cost gaps), which the
+        # block decoder must hand to the scan so the lowest-index rule holds.
+        assert code._blocks is not None
+        rng = np.random.default_rng(11)
+        rows = 3000
+        words = code.codebook[rng.integers(0, 1 << code.k, size=rows)]
+        margin = rng.uniform(0.05, 1.0, size=(rows, code.n))
+        for r in range(rows):
+            flip = rng.choice(code.n, size=r % 5, replace=False)
+            margin[r, flip] = -rng.uniform(0.0, 0.3, size=flip.size)
+        delta = np.where(words == 1, -margin, margin)
+        delta[::7] = np.round(delta[::7])
+        delta[::11] = 0.0
+        delta[::13] = rng.normal(size=delta[::13].shape)
+        delta[::5] = rng.integers(-2, 3, size=delta[::5].shape)
+        cost0 = rng.normal(size=(rows, code.n))
+        cost1 = cost0 + delta
+        scan = np.argmin((cost1 - cost0) @ code.codebook.T.astype(np.float64), axis=1)
+        assert np.array_equal(code.soft_ml_decode_batch(cost0, cost1), scan)
+        _, sure = code._blocks.decode(cost1 - cost0)
+        assert 0 < sure.sum() < rows
+
+    @given(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=24, max_size=24), min_size=1, max_size=16
+        )
+    )
+    @settings(max_examples=60)
+    def test_batch_matches_scan_on_small_integer_costs(self, rows):
+        # Small integer costs tie often: every tie must resolve as the scan does.
+        delta = np.array(rows, dtype=np.float64)
+        scan = np.argmin(delta @ codes.GOLAY.codebook.T.astype(np.float64), axis=1)
+        got = codes.GOLAY.soft_ml_decode_batch(np.zeros_like(delta), delta)
+        assert np.array_equal(got, scan)
+
+    def test_golay_blocks_form_a_sextet(self):
+        blocks = codes.GOLAY._blocks.blocks
+        assert blocks.shape == (6, 4)
+        assert np.array_equal(np.sort(blocks.ravel()), np.arange(24))
+        for i, j in itertools.combinations(range(6), 2):
+            word = np.zeros(24, dtype=np.int64)
+            word[np.concatenate([blocks[i], blocks[j]])] = 1
+            assert codes.GOLAY.is_codeword(word)
+
+    def test_code_without_blocks_is_scanned(self):
+        # Odd minimum distance: no block partition, every row is scanned.
+        repetition = codes.BinaryBlockCode(np.ones((1, 5), dtype=np.uint8))
+        assert repetition._blocks is None
+        rng = np.random.default_rng(5)
+        cost0, cost1 = rng.normal(size=(2, 40, 5))
+        idx = repetition.soft_ml_decode_batch(cost0, cost1)
+        assert np.array_equal(idx, ((cost1 - cost0).sum(axis=1) < 0).astype(np.int64))
 
 
 def parity_encode(message):

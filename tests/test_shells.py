@@ -196,6 +196,28 @@ class TestSampler:
         want = {tuple(idx.unrank(i).tolist()) for i in range(m_s)}
         assert seen == want
 
+    @pytest.mark.parametrize("n,h,l,m_s", [(6, 3, 4, 200), (8, 5, 9, 3001), (5, 7, 11, 4096)])
+    def test_binary_search_matches_linear_count(self, n, h, l, m_s):
+        # The search must pick, per coordinate, the number of cdf entries at
+        # or below the draw, boundary-shell rows included.
+        sampler = TdSampler(TdIndexer(n, h, l), m_s)
+        count = 4000
+        got = sampler.sample(np.random.default_rng(17), count)
+
+        rng = np.random.default_rng(17)
+        s = 2 * np.searchsorted(sampler._shell_cdf, rng.random(count), side="right")
+        boundary = (s == sampler._s_star) & sampler._b_alive[0]
+        assert boundary.any()
+        for j in range(n):
+            u = rng.random(count)
+            rows = sampler._tables[j][np.where(boundary, sampler._s_star + 1, s)]
+            assert (np.diff(rows, axis=1) >= 0).all()
+            v = (rows <= u[:, None]).sum(axis=1)
+            assert np.array_equal(got[:, j], v), j
+            s = s - v
+            if j + 1 < n:
+                boundary = boundary & (v == sampler._b_vcut[j]) & sampler._b_alive[j + 1]
+
 
 class TestParams:
     def test_indexer_shortcut(self):
