@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, simulate_ser
+from .simulate import SerRecord, check_workers, simulate_ser
 
 __all__ = [
     "LinkBudget",
@@ -193,6 +193,9 @@ def link_budget(room: RoomConfig, pd_xy, alpha: float) -> LinkBudget:
     )
 
 
+_MAX_GRID_SIDE = 401
+
+
 @dataclass(frozen=True)
 class OsnrMap:
     xs: np.ndarray
@@ -202,11 +205,22 @@ class OsnrMap:
 
 
 def osnr_map(room: RoomConfig, grid_step: float, alpha: float) -> OsnrMap:
-    """OSNR in dB over the receiver plane on a regular grid."""
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    """OSNR in dB over the receiver plane on a regular grid.
+
+    The grid may have at most 401 points per side (a step of 0.01 m in the
+    default room): each cell costs one scalar link budget.
+    """
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     half = room.sample_halfwidth
-    xs = np.arange(-half, half + grid_step / 2.0, grid_step)
+    stop = half + grid_step / 2.0
+    # np.arange yields ceil((stop + half) / grid_step) points per side.
+    if not (stop + half) / grid_step <= _MAX_GRID_SIDE:
+        raise ValueError(
+            f"grid_step {grid_step} gives more than {_MAX_GRID_SIDE} points "
+            f"per side over {2.0 * half} m"
+        )
+    xs = np.arange(-half, stop, grid_step)
     ys = xs.copy()
     vals = np.empty((xs.size, ys.size))
     for i, x in enumerate(xs):
@@ -246,6 +260,8 @@ def survey_ser(
     """
     if n_positions < 1 or trials_per_pos < 1:
         raise ValueError("need at least one position and one trial")
+    # Checked here too: positions without optical gain skip simulate_ser.
+    check_workers(batch_size, threads)
     root = np.random.SeedSequence(seed)
     pos_rng = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
     half = room.sample_halfwidth

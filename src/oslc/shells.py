@@ -189,25 +189,18 @@ class TdIndexer:
 
         # First-coordinate marginal: complete shells contribute the full
         # (n-1)-dimensional counts; the boundary shell is a lexicographic
-        # prefix, so coordinate values fill from 0 upward.
+        # prefix, so it fills the cumulative blocks of value v = 0, 1, ...
+        # up to ``partial`` points.
         marg = [0] * (self.h + 1)
         for v in range(self.h + 1):
             acc = 0
             for i in range(full_shells):
                 acc += self._sub_count(self.n - 1, 2 * i - v)
             marg[v] = acc
-        rem = partial
-        vpart = -1
-        for v in range(self.h + 1):
-            if rem == 0:
-                break
-            block = self._sub_count(self.n - 1, s_star - v)
-            take = min(rem, block)
-            marg[v] += take
-            rem -= take
-            if take and rem == 0 and take < block:
-                vpart = v
-        max_rest = self._max_rest(s_star, partial, full_shells)
+        taken = 0
+        for v, c in enumerate(self._cum_blocks(self.n - 1, s_star)):
+            marg[v] += min(partial, c) - taken
+            taken = min(partial, c)
         return TdSelection(
             indexer=self,
             m_s=m_s,
@@ -215,51 +208,8 @@ class TdIndexer:
             partial=partial,
             sum_l1=sum_l1,
             first_coord_counts=tuple(marg),
-            max_rest_coord=max_rest,
-            _partial_v=vpart,
+            max_rest_coord=min(self.h, s_star) if self.n > 1 else 0,
         )
-
-    def _prefix_max_coord(self, m: int, s: int, r: int) -> int:
-        """Max coordinate among the first r lex-ordered vectors of {0..h}^m, sum s."""
-        if r >= self._sub_count(m, s):
-            return min(self.h, s)
-        best = 0
-        for v in range(0, min(self.h, s) + 1):
-            if r == 0:
-                break
-            block = self._sub_count(m - 1, s - v)
-            if block == 0:
-                continue
-            take = min(r, block)
-            if take == block:
-                best = max(best, v, min(self.h, s - v))
-            else:
-                best = max(best, v, self._prefix_max_coord(m - 1, s - v, take))
-            r -= take
-        return best
-
-    def _max_rest(self, s_star: int, partial: int, full_shells: int) -> int:
-        """Largest value taken by coordinates 2..n over the selected set."""
-        best = 0
-        for i in range(full_shells):
-            s = 2 * i
-            if self._table[self.n][s]:
-                best = max(best, min(self.h, s))
-        # Boundary shell: walk its lexicographic prefix block by block.
-        rem = partial
-        for v in range(0, min(self.h, s_star) + 1):
-            if rem == 0:
-                break
-            block = self._sub_count(self.n - 1, s_star - v)
-            if block == 0:
-                continue
-            take = min(rem, block)
-            if take == block:
-                best = max(best, min(self.h, s_star - v))
-            else:
-                best = max(best, self._prefix_max_coord(self.n - 1, s_star - v, take))
-            rem -= take
-        return best
 
 
 @dataclass(frozen=True)
@@ -272,8 +222,11 @@ class TdSelection:
     partial: int              # how many boundary-shell points are included
     sum_l1: int               # sum of coordinate sums over the selection
     first_coord_counts: tuple # histogram of the first coordinate
-    max_rest_coord: int       # max over coordinates 2..n
-    _partial_v: int
+    # Max over coordinates 2..n: min(h, s_star) for n >= 2.  The selection
+    # always holds the lexicographically first point of shell s_star (partial
+    # >= 1), whose last coordinate is min(h, s_star), and no selected point
+    # sums above s_star.  0 for n = 1, which has no coordinates 2..n.
+    max_rest_coord: int
 
     @property
     def mean_l1(self) -> Fraction:
@@ -313,9 +266,11 @@ class TdSampler:
 
     Complete shells are sampled coordinate by coordinate through conditional
     cdf tables.  The boundary shell contributes only a lexicographic prefix,
-    which is a staircase: at each depth exactly one coordinate value is
-    partially filled, so a single precomputed per-depth cutoff row handles it
-    without per-point integer arithmetic.
+    which is a staircase along the unrank walk of its last point: at depth j
+    the values below a cutoff v_cut take their whole blocks, v_cut takes part
+    of its block, and larger values take none.  A point stays on the
+    staircase only while it picks v_cut, so one precomputed cdf row per
+    depth handles it without per-point integer arithmetic.
     """
 
     def __init__(self, indexer: TdIndexer, m_s: int):
@@ -357,38 +312,25 @@ class TdSampler:
                 tab[s, vmax] = 1.0
             coord_cdf[m] = tab
 
-        # Boundary-shell staircase: per depth j a cutoff value and a cdf row.
+        # Boundary shell: the unrank walk of the last selected point (rank
+        # m_s - 1, ``rem`` points into the shell).  At depth j the blocks
+        # v < v_cut are complete and v_cut is cut; the walk stops where the
+        # prefix ends on a block boundary.
         self._b_vcut = np.full(n, -1, dtype=np.int64)
         b_cdf = np.ones((n, h + 1))
         self._b_alive = [False] * (n + 1)
         if partial < indexer.shell_sizes[k_star]:
-            self._b_alive[0] = True
             rem, s_b = partial, s_star
             for j in range(n):
-                m = n - j
-                acc = 0
-                v_cut = None
-                blk = 0
-                for v in range(min(h, s_b) + 1):
-                    blk = indexer._sub_count(m - 1, s_b - v)
-                    if rem <= acc + blk:
-                        v_cut = v
-                        break
-                    acc += blk
-                if v_cut is None:  # pragma: no cover - selection() guarantees fit
-                    raise AssertionError("boundary walk exhausted the shell")
-                r_in = rem - acc
-                row = np.ones(h + 1)
-                run = 0
-                for v in range(v_cut):
-                    run += indexer._sub_count(m - 1, s_b - v)
-                    row[v] = run / rem
-                b_cdf[j] = row
+                self._b_alive[j] = True
+                cum = indexer._cum_blocks(n - 1 - j, s_b)
+                v_cut = bisect.bisect_left(cum, rem)
+                b_cdf[j, :v_cut] = [c / rem for c in cum[:v_cut]]
                 self._b_vcut[j] = v_cut
-                if r_in == blk:
-                    break  # prefix ends on a block boundary; no deeper cutoff
-                self._b_alive[j + 1] = True
-                rem, s_b = r_in, s_b - v_cut
+                if rem == cum[v_cut]:
+                    break
+                rem -= cum[v_cut - 1] if v_cut else 0
+                s_b -= v_cut
 
         # What sample() searches at depth j: the rows of coord_cdf[n - j],
         # then the boundary row b_cdf[j] as row s_star + 1.

@@ -27,6 +27,7 @@ from .lattices import nearest_point_dn_batch  # noqa: F401
 
 __all__ = [
     "SerRecord",
+    "check_workers",
     "cubic_ser_formula",
     "osnr_to_sigma",
     "q_function",
@@ -143,6 +144,14 @@ def _pool_run(args: tuple[int, int]) -> tuple[int, int]:
     return batch_index, _simulate_batch(spec, sigma, seed, batch_index, count)
 
 
+def check_workers(batch_size: int, threads: int) -> None:
+    """Reject a batch size or worker count below 1 with ``ValueError``."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+
+
 def simulate_ser(
     spec: ConstellationSpec,
     osnr_db: float,
@@ -166,10 +175,7 @@ def simulate_ser(
         raise ValueError("target_errors must be positive (or None)")
     if max_trials < 1:
         raise ValueError("max_trials must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    check_workers(batch_size, threads)
     threads = min(threads, len(os.sched_getaffinity(0)))
     sigma = float(osnr_to_sigma(osnr_db))
 

@@ -130,6 +130,21 @@ class TestIndoorCommand:
         ]
         return main(argv)
 
+    def test_oversized_heatmap_exits_2(self, tmp_path):
+        # a separate process with a timeout: an unchecked 0.001 m step would
+        # run 4001 x 4001 link budgets
+        env = dict(os.environ, PYTHONPATH=str(Path(oslc.__file__).parents[1]))
+        out = tmp_path / "indoor.csv"
+        argv = ["indoor", "--scheme", "cubic", "--beta", "2", "--positions", "1",
+                "--trials-per-pos", "10", "--grid-step", "0.001", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "oslc.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("oslc: ")
+        assert not out.exists()
+
     def test_heatmap_covers_grid_inside_published_window(self, tmp_path):
         out = tmp_path / "indoor.csv"
         assert self.run_survey(out) == 0

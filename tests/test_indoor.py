@@ -1,6 +1,7 @@
 """Tests for the indoor Lambertian room model and position-averaged SER."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,9 +147,25 @@ class TestOsnrMap:
         assert np.array_equal(a.osnr_db, b.osnr_db)
         assert np.array_equal(a.xs, b.xs)
 
-    def test_grid_step_validated(self, room):
-        with pytest.raises(ValueError):
-            indoor.osnr_map(room, 0.0, 0.3)
+    def test_grid_step_validated(self, room, monkeypatch):
+        def no_budget(*args):
+            raise AssertionError("link_budget ran before the grid was checked")
+
+        monkeypatch.setattr(indoor, "link_budget", no_budget)
+        for step in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                indoor.osnr_map(room, step, 0.3)
+        # 0.0099 m gives 406 points per side over the 4 m floor; 401 is the cap
+        for step in (0.0099, 0.001, 1e-300):
+            with pytest.raises(ValueError, match="points per side"):
+                indoor.osnr_map(room, step, 0.3)
+
+    def test_grid_cap_admits_a_centimetre_step(self, room, monkeypatch):
+        monkeypatch.setattr(
+            indoor, "link_budget", lambda *args: SimpleNamespace(osnr_db=25.0)
+        )
+        m = indoor.osnr_map(room, 0.01, 0.3)
+        assert m.osnr_db.shape == (401, 401)
 
 
 class TestSurvey:
@@ -187,6 +204,15 @@ class TestSurvey:
         spec = con.build_cubic_spec(5, 0.2)
         with pytest.raises(ValueError):
             indoor.survey_ser(room, spec, n_positions=0, trials_per_pos=10)
+
+    def test_worker_budget_checked_without_coverage(self):
+        # no position has optical gain, so simulate_ser never runs
+        spec = con.build_cubic_spec(5, 0.2)
+        with pytest.raises(ValueError):
+            indoor.survey_ser(
+                RoomConfig(fov_deg=5.0), spec, n_positions=3, trials_per_pos=10,
+                threads=0, batch_size=0,
+            )
 
 
 class TestPublishedAverage:

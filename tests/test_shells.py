@@ -142,6 +142,29 @@ class TestSelectionStats:
         assert sel.max_rest_coord == max(rest)
         assert sel.max_coord == max(max(p) for p in prefix)
 
+    @pytest.mark.parametrize("n,h", [(n, h) for n in range(2, 6) for h in range(1, 4)])
+    def test_closed_forms_match_exhaustive_enumeration(self, n, h):
+        # Every l and every m_s: the boundary-shell counts come from one
+        # cumulative-block row and max_rest_coord is min(h, s_star).  The
+        # grid includes boundary shells with s_star > (n - 1) * h, whose
+        # v = 0 block is empty (e.g. n = 2, h = 3, s_star = 4 or 6).
+        for l in range((n * h) // 2 + 1):
+            pts = canonical_sort(enumerate_set(n, h, l))
+            idx = TdIndexer(n, h, l)
+            for m_s in range(1, len(pts) + 1):
+                prefix = pts[:m_s]
+                sel = idx.selection(m_s)
+                assert sel.sum_l1 == sum(sum(p) for p in prefix)
+                firsts = [p[0] for p in prefix]
+                assert list(sel.first_coord_counts) == [firsts.count(v) for v in range(h + 1)]
+                assert sel.max_rest_coord == max(max(p[1:]) for p in prefix)
+                assert sel.max_coord == max(max(p) for p in prefix)
+
+    def test_one_dimensional_selection_has_no_rest(self):
+        sel = TdIndexer(1, 5, 2).selection(3)
+        assert sel.max_rest_coord == 0
+        assert sel.max_coord == 4
+
     def test_least_l1_selection_property(self):
         idx = TdIndexer(6, 3, 4)
         pts = canonical_sort(enumerate_set(6, 3, 4))
@@ -196,11 +219,30 @@ class TestSampler:
         want = {tuple(idx.unrank(i).tolist()) for i in range(m_s)}
         assert seen == want
 
-    @pytest.mark.parametrize("n,h,l,m_s", [(6, 3, 4, 200), (8, 5, 9, 3001), (5, 7, 11, 4096)])
+    @pytest.mark.parametrize(
+        "n,h,l,m_s",
+        [
+            (6, 3, 4, 200),
+            (8, 5, 9, 3001),
+            (5, 7, 11, 4096),
+            # boundary prefix = the v = 0 and v = 1 blocks of shell 4: the
+            # staircase ends at depth 0
+            (4, 3, 6, 33),
+            # partial == 1: the boundary shell holds one point, (0, 0, 1, 3)
+            (4, 3, 6, 12),
+        ],
+    )
     def test_binary_search_matches_linear_count(self, n, h, l, m_s):
         # The search must pick, per coordinate, the number of cdf entries at
         # or below the draw, boundary-shell rows included.
-        sampler = TdSampler(TdIndexer(n, h, l), m_s)
+        idx = TdIndexer(n, h, l)
+        sampler = TdSampler(idx, m_s)
+        # The staircase follows the last selected point down to the first
+        # coordinate where the first unselected point leaves it.
+        last, nxt = idx.unrank(m_s - 1), idx.unrank(m_s)
+        depth = int(np.argmax(last != nxt))
+        assert sampler._b_alive == [True] * (depth + 1) + [False] * (n - depth)
+        assert np.array_equal(sampler._b_vcut[:depth + 1], last[:depth + 1])
         count = 4000
         got = sampler.sample(np.random.default_rng(17), count)
 
