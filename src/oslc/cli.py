@@ -111,10 +111,13 @@ def _resolve(args, config: dict, key: str, default):
 
 
 def _room_from_config(config: dict) -> RoomConfig:
-    overrides = dict(config.get("room", {}))
-    if "lamp_xy" in overrides:
-        overrides["lamp_xy"] = tuple(tuple(xy) for xy in overrides["lamp_xy"])
-    return RoomConfig(**overrides)
+    try:
+        overrides = dict(config.get("room", {}))
+        if "lamp_xy" in overrides:
+            overrides["lamp_xy"] = tuple(tuple(xy) for xy in overrides["lamp_xy"])
+        return RoomConfig(**overrides)
+    except TypeError as exc:
+        raise ValueError(f"bad room config: {exc}") from None
 
 
 def _cmd_shaping(args, config, argv) -> int:
@@ -208,13 +211,6 @@ def _cmd_indoor(args, config, argv) -> int:
     spec = build_spec(scheme, beta, alpha)
 
     omap = osnr_map(room, grid_step, alpha)
-    rows = [
-        (_fmt(x), _fmt(y), _fmt(omap.osnr_db[i, j]))
-        for i, x in enumerate(omap.xs)
-        for j, y in enumerate(omap.ys)
-    ]
-    _write_csv(out, ("x", "y", "osnr_db"), rows)
-
     survey = survey_ser(
         room,
         spec,
@@ -223,6 +219,13 @@ def _cmd_indoor(args, config, argv) -> int:
         seed=seed,
         threads=threads,
     )
+    # Written only now, so a failed survey leaves no partial heatmap behind.
+    rows = [
+        (_fmt(x), _fmt(y), _fmt(omap.osnr_db[i, j]))
+        for i, x in enumerate(omap.xs)
+        for j, y in enumerate(omap.ys)
+    ]
+    _write_csv(out, ("x", "y", "osnr_db"), rows)
     summary = {
         "scheme": scheme,
         "beta": beta,

@@ -11,12 +11,14 @@ used everywhere else in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, check_workers, simulate_ser
+from .simulate import SerRecord, _worker_pool, check_workers, simulate_ser
 
 __all__ = [
     "LinkBudget",
@@ -69,6 +71,21 @@ class RoomConfig:
     collapse_lamps: bool = False     # treat each lamp as one point source
 
     def __post_init__(self):
+        # Annotations are strings here (postponed evaluation).
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not _is_finite(value):
+                raise ValueError(f"{field.name} must be a finite number, got {value!r}")
+        if not self.lamp_xy or not all(
+            len(xy) == 2 and all(_is_finite(c) for c in xy) for xy in self.lamp_xy
+        ):
+            raise ValueError(
+                f"lamp_xy must be one or more finite (x, y) pairs, got {self.lamp_xy!r}"
+            )
+        if not isinstance(self.chips_per_side, Integral) or self.chips_per_side < 1:
+            raise ValueError(
+                f"chips_per_side must be an integer of at least 1, got {self.chips_per_side!r}"
+            )
         if not 0 < self.semi_angle_deg < 90 or not 0 < self.fov_deg < 90:
             raise ValueError("semi-angle and field of view must be in (0, 90) deg")
         for name in (
@@ -76,11 +93,14 @@ class RoomConfig:
             "current_max", "eo_gain", "detector_area", "filter_gain",
             "refractive_index", "responsivity", "bandwidth", "noise_factor",
             "background_current", "electron_charge", "noise_scale",
+            "sample_halfwidth",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.current_max <= self.current_min:
             raise ValueError("current_max must exceed current_min")
+        if self.pd_height >= self.lamp_height:
+            raise ValueError("pd_height must be below lamp_height")
 
     @property
     def lambert_order(self) -> float:
@@ -96,6 +116,20 @@ class RoomConfig:
 
     def mean_current(self, alpha: float) -> float:
         return self.current_min + float(alpha) * self.current_swing
+
+    @cached_property
+    def _chips(self) -> np.ndarray:
+        """``chip_positions(self)``, built once per room and read-only."""
+        chips = chip_positions(self)
+        chips.flags.writeable = False
+        return chips
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 def chip_positions(room: RoomConfig) -> np.ndarray:
@@ -160,7 +194,7 @@ def link_budget(room: RoomConfig, pd_xy, alpha: float) -> LinkBudget:
     """Aggregate gain, noise, and OSNR at one receiver position."""
     x, y = float(pd_xy[0]), float(pd_xy[1])
     pd = np.array([x, y, room.pd_height])
-    gains = lambertian_gain(chip_positions(room), pd, room)
+    gains = lambertian_gain(room._chips, pd, room)
     # A collapsed lamp stands in for a full chip array at the lamp center, so
     # it carries the whole array's drive current.
     weight = room.chips_per_side ** 2 if room.collapse_lamps else 1
@@ -256,7 +290,8 @@ def survey_ser(
     Every position runs the same trial budget, so the pooled error fraction
     equals the unweighted mean of per-position SERs.  A position with zero
     optical gain (possible only when sampling outside the room) receives no
-    signal at all, so its trials are all counted as errors.
+    signal at all, so its trials are all counted as errors.  At
+    ``threads`` > 1 every position runs in one shared worker pool.
     """
     if n_positions < 1 or trials_per_pos < 1:
         raise ValueError("need at least one position and one trial")
@@ -271,32 +306,34 @@ def survey_ser(
     records = []
     osnrs = np.empty(n_positions)
     total_trials = total_errors = 0
-    for i in range(n_positions):
-        budget = link_budget(room, positions[i], float(spec.alpha))
-        osnrs[i] = budget.osnr_db
-        if not math.isfinite(budget.osnr_db):
-            rec = SerRecord(
-                osnr_db=budget.osnr_db,
-                trials=trials_per_pos,
-                errors=trials_per_pos,
-                ser=1.0,
-                ci95_low=1.0,
-                ci95_high=1.0,
-                seed=int(child_seeds[i]),
-            )
-        else:
-            rec = simulate_ser(
-                spec,
-                budget.osnr_db,
-                seed=int(child_seeds[i]),
-                target_errors=None,
-                max_trials=trials_per_pos,
-                batch_size=batch_size,
-                threads=threads,
-            )
-        records.append(rec)
-        total_trials += rec.trials
-        total_errors += rec.errors
+    with _worker_pool(spec, threads) as pool:
+        for i in range(n_positions):
+            budget = link_budget(room, positions[i], float(spec.alpha))
+            osnrs[i] = budget.osnr_db
+            if not math.isfinite(budget.osnr_db):
+                rec = SerRecord(
+                    osnr_db=budget.osnr_db,
+                    trials=trials_per_pos,
+                    errors=trials_per_pos,
+                    ser=1.0,
+                    ci95_low=1.0,
+                    ci95_high=1.0,
+                    seed=int(child_seeds[i]),
+                )
+            else:
+                rec = simulate_ser(
+                    spec,
+                    budget.osnr_db,
+                    seed=int(child_seeds[i]),
+                    target_errors=None,
+                    max_trials=trials_per_pos,
+                    batch_size=batch_size,
+                    threads=threads,
+                    executor=pool,
+                )
+            records.append(rec)
+            total_trials += rec.trials
+            total_errors += rec.errors
     return SerSurvey(
         positions=positions,
         osnr_db=osnrs,

@@ -7,6 +7,10 @@ batch b draws all of its randomness from a Philox generator keyed by
 (seed, b), and results commit in batch order, so counts are bit-identical
 for any worker count.  Stopping (enough errors or the trial cap) is evaluated
 on the committed prefix only.
+
+At ``threads`` > 1 a sweep or survey opens one process pool for all of its
+operating points; each worker receives the spec once, when it starts, and a
+task is only (sigma, seed, batch_index, count).
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,18 +135,34 @@ def _simulate_batch(
     return int((spec.decode(w) != lam).any(axis=1).sum())
 
 
-_POOL_STATE: tuple | None = None
+_POOL_SPEC: ConstellationSpec | None = None
 
 
-def _pool_init(spec, sigma, seed):
-    global _POOL_STATE
-    _POOL_STATE = (spec, sigma, seed)
+def _pool_init(spec: ConstellationSpec) -> None:
+    global _POOL_SPEC
+    _POOL_SPEC = spec
 
 
-def _pool_run(args: tuple[int, int]) -> tuple[int, int]:
-    batch_index, count = args
-    spec, sigma, seed = _POOL_STATE
-    return batch_index, _simulate_batch(spec, sigma, seed, batch_index, count)
+def _pool_run(task: tuple[float, int, int, int]) -> tuple[int, int]:
+    sigma, seed, batch_index, count = task
+    return batch_index, _simulate_batch(_POOL_SPEC, sigma, seed, batch_index, count)
+
+
+@contextmanager
+def _worker_pool(spec: ConstellationSpec, threads: int):
+    """A process pool for any number of operating points of ``spec``, or
+    None when ``threads``, capped at the CPUs this process may run on, is 1.
+
+    Each worker receives ``spec`` once, through the pool initializer.
+    """
+    threads = min(threads, len(os.sched_getaffinity(0)))
+    if threads <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(
+        max_workers=threads, initializer=_pool_init, initargs=(spec,)
+    ) as pool:
+        yield pool
 
 
 def check_workers(batch_size: int, threads: int) -> None:
@@ -161,6 +182,7 @@ def simulate_ser(
     max_trials: int = 20_000_000,
     batch_size: int = 4096,
     threads: int = 1,
+    executor: Executor | None = None,
 ) -> SerRecord:
     """Estimate the symbol error rate at one operating point.
 
@@ -168,6 +190,13 @@ def simulate_ser(
     set) or the committed trial count reaches max_trials.  The committed
     sequence, and hence the returned counts, do not depend on ``threads``,
     which is capped at the number of CPUs this process may run on.
+
+    ``executor``, if given, runs the batches in place of a pool of this
+    call's own, with up to ``2 * threads`` of them in flight.  Its workers
+    must already hold ``spec``: ``ser_sweep`` and ``survey_ser`` pass the one
+    pool they open with ``_worker_pool(spec, threads)`` for all their points.
+    Batches still in flight when this point stops are dropped, so they never
+    count towards the next point.
     """
     if not math.isfinite(osnr_db):
         raise ValueError(f"osnr_db must be finite, got {osnr_db}")
@@ -188,19 +217,20 @@ def simulate_ser(
         return trials >= max_trials
 
     trials = errors = 0
-    if threads <= 1:
-        index = 0
-        while not stopped(trials, errors):
-            count = batch_count(index)
-            errors += _simulate_batch(spec, sigma, seed, index, count)
-            trials += count
-            index += 1
-    else:
-        total_batches = -(-max_trials // batch_size)
-        window = 2 * threads
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_pool_init, initargs=(spec, sigma, seed)
-        ) as pool:
+    pool_scope = (
+        _worker_pool(spec, threads) if executor is None else nullcontext(executor)
+    )
+    with pool_scope as pool:
+        if pool is None:
+            index = 0
+            while not stopped(trials, errors):
+                count = batch_count(index)
+                errors += _simulate_batch(spec, sigma, seed, index, count)
+                trials += count
+                index += 1
+        else:
+            total_batches = -(-max_trials // batch_size)
+            window = 2 * threads
             next_submit = next_commit = 0
             running = set()
             done: dict[int, int] = {}
@@ -209,9 +239,8 @@ def simulate_ser(
                     next_submit < total_batches
                     and len(running) + len(done) < window
                 ):
-                    running.add(
-                        pool.submit(_pool_run, (next_submit, batch_count(next_submit)))
-                    )
+                    task = (sigma, seed, next_submit, batch_count(next_submit))
+                    running.add(pool.submit(_pool_run, task))
                     next_submit += 1
                 finished, running = wait(running, return_when=FIRST_COMPLETED)
                 for fut in finished:
@@ -257,18 +286,21 @@ def ser_sweep(
     """
     grid = [float(v) for v in np.atleast_1d(np.asarray(osnr_grid, dtype=np.float64))]
     child_seeds = np.random.SeedSequence(seed).generate_state(len(grid), np.uint64)
-    records = [
-        simulate_ser(
-            spec,
-            osnr,
-            seed=int(child),
-            target_errors=target_errors,
-            max_trials=max_trials,
-            batch_size=batch_size,
-            threads=threads,
-        )
-        for osnr, child in zip(grid, child_seeds)
-    ]
+    check_workers(batch_size, threads)
+    with _worker_pool(spec, threads) as pool:
+        records = [
+            simulate_ser(
+                spec,
+                osnr,
+                seed=int(child),
+                target_errors=target_errors,
+                max_trials=max_trials,
+                batch_size=batch_size,
+                threads=threads,
+                executor=pool,
+            )
+            for osnr, child in zip(grid, child_seeds)
+        ]
     for prev, cur in zip(records, records[1:]):
         if prev.osnr_db < cur.osnr_db and cur.ci95_low > prev.ci95_high:
             warnings.warn(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oslc
-from oslc import shaping
+from oslc import cli, shaping
 from oslc.cli import main
 
 
@@ -145,6 +145,14 @@ class TestIndoorCommand:
         assert proc.stderr.startswith("oslc: ")
         assert not out.exists()
 
+    def test_failed_survey_writes_no_output(self, tmp_path, monkeypatch):
+        def failing_survey(*args, **kwargs):
+            raise ValueError("survey failed")
+
+        monkeypatch.setattr(cli, "survey_ser", failing_survey)
+        assert self.run_survey(tmp_path / "indoor.csv") == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_heatmap_covers_grid_inside_published_window(self, tmp_path):
         out = tmp_path / "indoor.csv"
         assert self.run_survey(out) == 0
@@ -253,6 +261,22 @@ class TestConfigFile:
         ]) == 0
         (row,) = read_rows(override)
         assert row["beta"] == "1"
+
+    @pytest.mark.parametrize(
+        "room", [{"sample_halfwidth": -1.0}, {"no_such_field": 1.0}]
+    )
+    def test_bad_room_exits_2(self, tmp_path, capsys, room):
+        cfg = tmp_path / "room.json"
+        cfg.write_text(json.dumps({"room": room}), encoding="utf-8")
+        out = tmp_path / "indoor.csv"
+        argv = [
+            "indoor", "--scheme", "cubic", "--beta", "2", "--positions", "2",
+            "--trials-per-pos", "10", "--grid-step", "0.5",
+            "--config", str(cfg), "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("oslc: ")
+        assert not out.exists()
 
     def test_room_overrides_reach_the_survey(self, tmp_path):
         cfg = tmp_path / "room.json"

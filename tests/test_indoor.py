@@ -78,6 +78,34 @@ class TestGeometry:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-30)
 
 
+class TestRoomValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"noise_scale": math.nan}, "noise_scale must be a finite number"),
+            ({"lamp_height": math.inf}, "lamp_height must be a finite number"),
+            ({"pd_height": -math.inf}, "pd_height must be a finite number"),
+            ({"semi_angle_deg": math.nan}, "semi_angle_deg must be a finite number"),
+            ({"lamp_height": "3"}, "lamp_height must be a finite number"),
+            ({"sample_halfwidth": math.nan}, "sample_halfwidth must be a finite number"),
+            ({"sample_halfwidth": math.inf}, "sample_halfwidth must be a finite number"),
+            ({"sample_halfwidth": -1.0}, "sample_halfwidth must be positive"),
+            ({"sample_halfwidth": 0.0}, "sample_halfwidth must be positive"),
+            ({"chips_per_side": 0}, "chips_per_side must be an integer of at least 1"),
+            ({"chips_per_side": -3}, "chips_per_side must be an integer of at least 1"),
+            ({"chips_per_side": 2.5}, "chips_per_side must be an integer of at least 1"),
+            ({"lamp_xy": ((0.0, math.nan),)}, "lamp_xy must be one or more finite"),
+            ({"lamp_xy": ((math.inf, 0.0), (1.0, 1.0))}, "lamp_xy must be one or more finite"),
+            ({"lamp_xy": ((1.0,),)}, "lamp_xy must be one or more finite"),
+            ({"lamp_xy": ()}, "lamp_xy must be one or more finite"),
+            ({"pd_height": 3.0}, "pd_height must be below lamp_height"),
+        ],
+    )
+    def test_rejects_bad_room(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RoomConfig(**kwargs)
+
+
 class TestLinkBudget:
     def test_center_osnr_in_published_window(self, room):
         assert 24.0 <= link_budget(room, (0.0, 0.0), 0.3).osnr_db <= 27.0
@@ -147,6 +175,42 @@ class TestOsnrMap:
         assert np.array_equal(a.osnr_db, b.osnr_db)
         assert np.array_equal(a.xs, b.xs)
 
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_bitwise_equal_to_fresh_chip_grid(self, collapse):
+        # every cell computed from a fresh chip_positions array, in the same
+        # order of operations as link_budget
+        room = RoomConfig(collapse_lamps=collapse)
+        alpha = 0.3
+        weight = room.chips_per_side ** 2 if collapse else 1
+        chain = room.responsivity * room.eo_gain
+        m = indoor.osnr_map(room, 0.5, alpha)
+        want = np.empty_like(m.osnr_db)
+        for i, x in enumerate(m.xs):
+            for j, y in enumerate(m.ys):
+                pd = np.array([float(x), float(y), room.pd_height])
+                gain_sum = weight * float(
+                    np.sum(lambertian_gain(chip_positions(room), pd, room))
+                )
+                shot_current = chain * room.mean_current(alpha) * gain_sum
+                var = (
+                    2.0
+                    * room.electron_charge
+                    * room.bandwidth
+                    * (shot_current + room.background_current * room.noise_factor)
+                    * room.noise_scale
+                )
+                eff_gain = room.current_swing * chain * gain_sum
+                want[i, j] = -10.0 * math.log10(math.sqrt(var) / eff_gain)
+        assert np.array_equal(m.osnr_db, want)
+
+        cached = room._chips
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+        fresh = chip_positions(room)
+        assert fresh.flags.writeable and fresh is not cached
+        assert np.array_equal(fresh, cached)
+
     def test_grid_step_validated(self, room, monkeypatch):
         def no_budget(*args):
             raise AssertionError("link_budget ran before the grid was checked")
@@ -213,6 +277,24 @@ class TestSurvey:
                 RoomConfig(fov_deg=5.0), spec, n_positions=3, trials_per_pos=10,
                 threads=0, batch_size=0,
             )
+
+
+    def test_shared_pool_matches_serial(self, room):
+        spec = con.build_cubic_spec(5, 0.2)
+        kwargs = dict(n_positions=4, trials_per_pos=3000, batch_size=512, seed=7)
+        one = indoor.survey_ser(room, spec, threads=1, **kwargs)
+        two = indoor.survey_ser(room, spec, threads=2, **kwargs)
+        assert one.records == two.records
+        assert np.array_equal(one.osnr_db, two.osnr_db)
+        assert one.errors > 0
+
+    def test_one_pool_per_survey(self, room, inline_pools):
+        spec = con.build_cubic_spec(5, 0.2)
+        kwargs = dict(n_positions=5, trials_per_pos=700, batch_size=256, seed=4)
+        serial = indoor.survey_ser(room, spec, threads=1, **kwargs)
+        assert inline_pools == []
+        assert indoor.survey_ser(room, spec, threads=64, **kwargs).records == serial.records
+        assert inline_pools == [3]
 
 
 class TestPublishedAverage:

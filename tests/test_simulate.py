@@ -258,6 +258,24 @@ class TestSweep:
                 max_trials=16, batch_size=4,
             )
 
+    def test_shared_pool_matches_serial_after_early_stops(self, cubic_b4):
+        # every point stops on its error target with batches still in
+        # flight; none of them may count towards the next point
+        grid = [20.0, 20.5, 21.0, 21.5, 22.0]
+        kwargs = dict(seed=17, target_errors=20, max_trials=40960, batch_size=256)
+        one = sim.ser_sweep(cubic_b4, grid, threads=1, **kwargs)
+        two = sim.ser_sweep(cubic_b4, grid, threads=2, **kwargs)
+        assert one == two
+        assert all(r.errors >= 20 and r.trials < 40960 for r in one)
+
+    def test_one_pool_per_sweep(self, cubic_b4, inline_pools):
+        grid = [20.0, 21.0, 22.0]
+        kwargs = dict(seed=9, target_errors=30, max_trials=20480, batch_size=512)
+        serial = sim.ser_sweep(cubic_b4, grid, threads=1, **kwargs)
+        assert inline_pools == []
+        assert sim.ser_sweep(cubic_b4, grid, threads=64, **kwargs) == serial
+        assert inline_pools == [3]
+
     def test_clean_run_does_not_warn(self, cubic_b4):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
