@@ -15,6 +15,7 @@ cannot rule out a tie, so it returns exactly what the scan would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,9 +133,10 @@ class BinaryBlockCode:
         scan = np.arange(rows)
         if self._blocks is not None:
             sure = np.zeros(rows, dtype=bool)
+            work = self._blocks.workspace(min(rows, _BLOCK_ROWS))
             for lo in range(0, rows, _BLOCK_ROWS):
                 part = slice(lo, lo + _BLOCK_ROWS)
-                out[part], sure[part] = self._blocks.decode(delta[part])
+                out[part], sure[part] = self._blocks.decode(delta[part], work)
             scan = np.flatnonzero(~sure)
         chunk = max(1, (1 << 23) // (1 << self.k))
         for lo in range(0, scan.size, chunk):
@@ -153,6 +155,22 @@ _BLOCK_ROWS = 512
 # is real; it is also far above the scan's float64 rounding, so the scan
 # picks the same winner.
 _BLOCK_MARGIN = 1e-6
+
+
+def _padded(shape: tuple[int, ...], dtype) -> int:
+    """Bytes of a (shape, dtype) table, rounded up to a 64-byte boundary."""
+    return -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+
+
+def _carve(buf: np.ndarray, tables) -> list[np.ndarray]:
+    """Views of the flat byte buffer ``buf``, one per (shape, dtype) in
+    ``tables``, laid end to end at 64-byte boundaries."""
+    views, at = [], 0
+    for shape, dtype in tables:
+        size = _padded(shape, dtype)
+        views.append(buf[at : at + size].view(dtype)[: math.prod(shape)].reshape(shape))
+        at += size
+    return views
 
 
 class _BlockDecoder:
@@ -230,32 +248,69 @@ class _BlockDecoder:
             return None
         return cls(code, np.array(blocks))
 
-    def decode(self, delta: np.ndarray):
+    def _tables(self, rows: int) -> list[tuple[tuple[int, ...], type]]:
+        """Shape and dtype of each of decode's work tables for ``rows`` rows:
+        metric, both (per row, then per block pattern), swap, low, gap (per
+        block pattern), total, fix, part, odd, flips (per coset)."""
+        nb, b = self.blocks.shape
+        entries, cosets = (nb << (b - 1), rows), (len(self.parity), rows)
+        return ([((rows * nb, 1 << b), np.float64), ((2,) + entries, np.float64),
+                 (entries, bool)]
+                + [(entries, np.float32)] * 2
+                + [(cosets, np.float32)] * 3 + [(cosets, bool)] * 2)
+
+    def workspace(self, rows: int) -> np.ndarray:
+        """One flat buffer that holds decode's work tables for up to ``rows``
+        rows, which every chunk of a batch fills in turn.
+
+        One block rather than ten tables keeps the Monte Carlo loop off fresh
+        pages: glibc raises its mmap and trim thresholds to the size of a
+        freed mapped block, so from the second batch on this block comes
+        from the heap.  Ten tables of up to 384 KiB each raise them less,
+        and are mapped or trimmed, and faulted in again, chunk after chunk."""
+        return np.empty(sum(_padded(*table) for table in self._tables(rows)), np.uint8)
+
+    def decode(self, delta: np.ndarray, work: np.ndarray | None = None):
         """(message indices, sure) for each row of delta = cost1 - cost0.
 
         The per-coset tables are laid out (cosets, rows), so that gathering
-        a block's entries for every coset copies whole rows.
+        a block's entries for every coset copies whole rows.  They are
+        filled in place in ``work`` (from ``workspace``), a fresh one if None.
         """
         rows = delta.shape[0]
         nb, b = self.blocks.shape
         half = 1 << (b - 1)
-        metric = (delta[:, self.blocks] @ self.pattern_bits).reshape(rows, nb, 2, half)
-        first = np.ascontiguousarray(metric[:, :, 0].reshape(rows, -1).T)  # (nb * half, rows)
-        second = np.ascontiguousarray(metric[:, :, 1].reshape(rows, -1).T)
-        swap = second < first
-        low = np.minimum(first, second).astype(np.float32)
-        gap = np.abs(second - first).astype(np.float32)
+        if work is None:
+            work = self.workspace(rows)
+        metric, both, swap, low, gap, total, fix, part, odd, flips = \
+            _carve(work, self._tables(rows))
+        # One 2-D product: the stacked (rows, nb, b) form is about half as fast.
+        np.matmul(delta[:, self.blocks].reshape(rows * nb, b), self.pattern_bits, out=metric)
+        # first[c * half + p] and second[c * half + p]: block c's pattern p
+        # and its complement, one entry per decoded row.
+        np.copyto(both.reshape(2, nb, half, rows),
+                  metric.reshape(rows, nb, 2, half).transpose(2, 1, 3, 0))
+        first, second = both
+        np.less(second, first, out=swap)
+        np.minimum(first, second, out=low)
+        np.subtract(second, first, out=gap)
+        np.abs(gap, out=gap)
 
         # Per coset: sum of the blocks' cheaper patterns, parity of the
-        # swaps that takes, and the cheapest single swap to mend it.
+        # swaps that takes, and the cheapest single swap to mend it.  mode
+        # "clip" lets take write straight into ``out``; the entries are
+        # always in range.
         entry = self.flat[:, 0]
-        total, odd, fix = low[entry], swap[entry] ^ self.parity[:, None], gap[entry]
+        np.take(low, entry, axis=0, out=total, mode="clip")
+        np.take(swap, entry, axis=0, out=odd, mode="clip")
+        odd ^= self.parity[:, None]
+        np.take(gap, entry, axis=0, out=fix, mode="clip")
         for c in range(1, nb):
             entry = self.flat[:, c]
-            total += low[entry]
-            odd ^= swap[entry]
-            np.minimum(fix, gap[entry], out=fix)
-        total += fix * odd
+            total += np.take(low, entry, axis=0, out=part, mode="clip")
+            odd ^= np.take(swap, entry, axis=0, out=flips, mode="clip")
+            np.minimum(fix, np.take(gap, entry, axis=0, out=part, mode="clip"), out=fix)
+        total += np.multiply(fix, odd, out=part)
 
         r = np.argmin(total, axis=0)
         at = np.arange(rows)

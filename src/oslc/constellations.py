@@ -20,6 +20,7 @@ scaled coordinate stays at or below the intensity target alpha.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,6 +96,21 @@ def _coset_points(d: np.ndarray, c: np.ndarray, a) -> np.ndarray:
     return 2 * h + np.asarray(a)[..., None] * xi_tilde(h)
 
 
+# Bits per dimension a design may be built at.  At beta = 0 the shaped
+# designs have a single point and no gain; from beta = 10 on, setting up the
+# shaping alphabet (2**(24*beta) points) takes minutes.
+_BETAS = range(1, 9)
+
+
+def _check_beta(beta) -> int:
+    """``beta`` as an int, or ValueError unless it is an integer in _BETAS."""
+    if isinstance(beta, bool) or not isinstance(beta, numbers.Integral) or beta not in _BETAS:
+        raise ValueError(
+            f"beta must be an integer in {_BETAS.start}..{_BETAS.stop - 1}, got {beta!r}"
+        )
+    return int(beta)
+
+
 def _as_fraction(alpha) -> Fraction:
     """Exact intensity target.  Floats go through repr so 0.2 means 1/5."""
     if isinstance(alpha, Fraction):
@@ -118,14 +134,14 @@ class AlphabetChoice:
     avg_l1_unscaled: Fraction
 
 
-def _oslc_stats(sel: TdSelection, code: BinaryBlockCode) -> tuple[int, Fraction]:
+def _oslc_stats(sel: TdSelection, avg_code: Fraction) -> tuple[int, Fraction]:
     """Peak coordinate and exact mean coordinate sum of the full mapped set.
 
     A transmitted point is 4*d + 2*c + a * xi_tilde, with d from the shaping
     selection, c uniform over the code, and a a fair bit.  The peak scans the
     four achievable extremes of the first coordinate (both translation
     branches) and of the remaining coordinates; the mean splits into the three
-    independent layers.
+    independent layers, ``avg_code`` being the code layer's mean sum of 2*c.
     """
     peak_candidates = [
         4 * sel.max_first() + 2,
@@ -137,14 +153,18 @@ def _oslc_stats(sel: TdSelection, code: BinaryBlockCode) -> tuple[int, Fraction]
         peak_candidates.append(4 * max_odd_first - 1)
     peak = max(peak_candidates)
 
-    total_ones = sum(w * count for w, count in code.weight_enumerator().items())
-    avg_code = Fraction(2 * total_ones, 2 ** code.k)
     avg_shift = Fraction(
         sel.even_first_count * int(XI_PLUS.sum())
         + sel.odd_first_count * int(XI_MINUS.sum()),
         2 * sel.m_s,
     )
     return peak, 4 * sel.mean_l1 + avg_code + avg_shift
+
+
+def _even_sum_count(n: int, h: int) -> int:
+    """Points of {0..h}^n with even coordinate sum: ((h+1)^n + [h even]) / 2,
+    since sum over the box of (-1)^sum(d) is (sum_v (-1)^v)^n = [h even]."""
+    return ((h + 1) ** n + (h % 2 == 0)) // 2
 
 
 def determine_params(
@@ -163,26 +183,33 @@ def determine_params(
     while the mean term never increases, so the scan can stop a few steps
     after the two cross; six extra steps cover the small wobble the
     translation layer adds to the peak.  Ties keep the smaller H.
+
+    Heights whose whole box holds fewer than m_s even-sum points are skipped
+    by their closed-form count.  A taller box only adds points to every
+    shell, so the boundary shell never rises with H, and each height after
+    the first is indexed only up to the previous height's boundary shell.
     """
     alpha = _as_fraction(alpha)
     best: AlphabetChoice | None = None
     crossing = None
     h = 1
+    while _even_sum_count(n, h) < m_s:
+        h += 1
+    l = (n * h) // 2
     while True:
-        full = TdIndexer(n, h, (n * h) // 2)
-        if full.count >= m_s:
-            sel = full.selection(m_s)
-            peak, avg = stats(sel)
-            bound = avg / (n * alpha)
-            kappa = 1 / max(Fraction(peak), bound)
-            if best is None or kappa > best.kappa:
-                params = TdParams(n, h, sel.s_star // 2, m_s)
-                best = AlphabetChoice(params, kappa, peak, avg)
-            saturated = h >= sel.s_star  # box constraint no longer active
-            if crossing is None and (peak >= bound or saturated):
-                crossing = h
-            if crossing is not None and h >= crossing + 6:
-                return best
+        sel = TdIndexer(n, h, l).selection(m_s)
+        peak, avg = stats(sel)
+        bound = avg / (n * alpha)
+        kappa = 1 / max(Fraction(peak), bound)
+        if best is None or kappa > best.kappa:
+            params = TdParams(n, h, sel.s_star // 2, m_s)
+            best = AlphabetChoice(params, kappa, peak, avg)
+        saturated = h >= sel.s_star  # box constraint no longer active
+        if crossing is None and (peak >= bound or saturated):
+            crossing = h
+        if crossing is not None and h >= crossing + 6:
+            return best
+        l = sel.s_star // 2
         h += 1
 
 
@@ -296,13 +323,13 @@ class OslcSpec(ConstellationSpec):
 
     @classmethod
     def build(cls, beta: int, alpha) -> OslcSpec:
-        alpha = _as_fraction(alpha)
+        beta, alpha = _check_beta(beta), _as_fraction(alpha)
         n, code = 24, GOLAY
         k_c, k_a = code.k, 1
         k_s = n * beta - k_c - k_a
-        if k_s < 1:
-            raise ValueError(f"beta={beta} leaves no room for shaping bits")
-        choice = determine_params(n, 1 << k_s, alpha, partial(_oslc_stats, code=code))
+        total_ones = sum(w * count for w, count in code.weight_enumerator().items())
+        avg_code = Fraction(2 * total_ones, 2 ** code.k)
+        choice = determine_params(n, 1 << k_s, alpha, partial(_oslc_stats, avg_code=avg_code))
         return cls(
             n=n,
             beta=beta,
@@ -376,7 +403,7 @@ class TccSpec(ConstellationSpec):
 
     @classmethod
     def build(cls, beta: int, alpha) -> TccSpec:
-        alpha = _as_fraction(alpha)
+        beta, alpha = _check_beta(beta), _as_fraction(alpha)
         n = 24
         k_s = n * beta
         choice = determine_params(
@@ -419,11 +446,9 @@ class CubicSpec(ConstellationSpec):
 
     @classmethod
     def build(cls, beta: int, alpha) -> CubicSpec:
-        alpha = _as_fraction(alpha)
+        beta, alpha = _check_beta(beta), _as_fraction(alpha)
         n = 24
         levels = (1 << beta) - 1
-        if levels < 1:
-            raise ValueError("cubic design needs beta >= 1")
         delta = min(Fraction(1), 2 * alpha) / levels
         return cls(
             n=n,

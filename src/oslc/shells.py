@@ -12,7 +12,10 @@ count in this module is an exact Python integer and rank/unrank work on
 arbitrary-precision indices.  The core object is a dynamic-programming
 table N[m][s] = number of m-tuples over {0..H} summing to s; everything
 else (cardinalities, rank/unrank, first-coordinate marginals, selection
-statistics) is derived from it.
+statistics) is derived from it.  The table is only as wide as the
+indexer's largest admissible sum smax = min(2L, n*H): no count the indexer
+needs reads a column beyond it, and the alphabets in use have smax far
+below n*H.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,27 +51,20 @@ class TdParams:
 
 
 @lru_cache(maxsize=64)
-def _composition_table(n: int, h: int) -> tuple[tuple[int, ...], ...]:
-    """Table N[m][s]: number of vectors in {0..h}^m with coordinate sum s.
+def _composition_table(n: int, h: int, smax: int) -> tuple[tuple[int, ...], ...]:
+    """Table N[m][s], s = 0..smax: number of vectors in {0..h}^m with sum s.
 
-    Uses the prefix-sum recurrence
-        N[m][s] = N[m][s-1] + N[m-1][s] - N[m-1][s-h-1]
-    so the whole table costs O(n * n*h) exact-integer additions.
+    Row m is a windowed sum of row m - 1,
+        N[m][s] = pre[s] - pre[s-h-1],   pre = prefix sums of N[m-1],
+    and N[m][s] reads no column of row m - 1 beyond s, so cutting every row
+    at smax leaves the kept entries exact.
     """
-    smax = n * h
-    rows: list[tuple[int, ...]] = []
-    prev = [1] + [0] * smax
-    rows.append(tuple(prev))
-    for _ in range(1, n + 1):
-        cur = [0] * (smax + 1)
-        cur[0] = prev[0]
-        for s in range(1, smax + 1):
-            val = cur[s - 1] + prev[s]
-            if s - h - 1 >= 0:
-                val -= prev[s - h - 1]
-            cur[s] = val
-        rows.append(tuple(cur))
-        prev = cur
+    rows = [tuple([1] + [0] * smax)]
+    for _ in range(n):
+        pre = list(accumulate(rows[-1]))
+        rows.append(tuple(pre[:h + 1]) + tuple(
+            pre[s] - pre[s - h - 1] for s in range(h + 1, smax + 1)
+        ))
     return tuple(rows)
 
 
@@ -89,7 +86,7 @@ class TdIndexer:
         # Largest even coordinate sum actually admissible.
         if self.smax % 2 == 1:
             self.smax -= 1
-        self._table = _composition_table(n, h)
+        self._table = _composition_table(n, h, self.smax)
         shells = []
         cum = []
         total = 0
@@ -188,15 +185,16 @@ class TdIndexer:
         sum_l1 += s_star * partial
 
         # First-coordinate marginal: complete shells contribute the full
-        # (n-1)-dimensional counts; the boundary shell is a lexicographic
-        # prefix, so it fills the cumulative blocks of value v = 0, 1, ...
-        # up to ``partial`` points.
-        marg = [0] * (self.h + 1)
-        for v in range(self.h + 1):
-            acc = 0
-            for i in range(full_shells):
-                acc += self._sub_count(self.n - 1, 2 * i - v)
-            marg[v] = acc
+        # (n-1)-dimensional counts, sum over i < k of N[n-1][2i - v], which is
+        # the alternating prefix sum alt[t] = N[n-1][t] + alt[t-2] at
+        # t = s_star - 2 - v; the boundary shell is a lexicographic prefix,
+        # so it fills the cumulative blocks of value v = 0, 1, ... up to
+        # ``partial`` points.
+        row = self._table[self.n - 1]
+        alt = []
+        for t in range(s_star - 1):
+            alt.append(row[t] + (alt[t - 2] if t >= 2 else 0))
+        marg = [alt[s_star - 2 - v] if v <= s_star - 2 else 0 for v in range(self.h + 1)]
         taken = 0
         for v, c in enumerate(self._cum_blocks(self.n - 1, s_star)):
             marg[v] += min(partial, c) - taken
@@ -291,25 +289,24 @@ class TdSampler:
         self._s_star = s_star
 
         # Conditional cdf tables for complete shells: coord_cdf[m][s, v] is
-        # P(coordinate <= v | m coordinates remain with total sum s).
-        floats = [np.array([float(x) for x in row]) for row in indexer._table]
+        # P(coordinate <= v | m coordinates remain with total sum s), the
+        # cumulative sum over v of N[m-1][s - v], which reaches 1 at
+        # v = min(h, s).  Rows with s > m*h are unreachable and stay all ones.
+        floats = [np.array([float(x) for x in row[:s_star + 1]]) for row in indexer._table]
+        s_col = np.arange(s_star + 1)[:, None]
+        v_row = np.arange(h + 1)
+        # Entries with v > s gather column 0; they all lie where the cdf has
+        # reached 1, and ``reached`` overwrites them.
+        gather = np.maximum(s_col - v_row, 0)
+        reached = v_row >= np.minimum(s_col, h)
         coord_cdf: list[np.ndarray | None] = [None] * (n + 1)
         for m in range(1, n + 1):
             tab = np.ones((s_star + 2, h + 1))  # last row: the boundary row, set below
-            tot = floats[m]
-            for s in range(s_star + 1):
-                if s > m * h or tot[s] == 0.0:
-                    continue
-                vmax = min(h, s)
-                if m == 1:
-                    blocks = np.zeros(vmax + 1)
-                    blocks[s] = 1.0  # the guard above ensures s <= h here
-                else:
-                    sub = floats[m - 1]
-                    blocks = sub[s - vmax:s + 1][::-1].copy()
-                row = np.cumsum(blocks) / tot[s]
-                tab[s, :vmax + 1] = np.minimum(row, 1.0)
-                tab[s, vmax] = 1.0
+            live = min(s_star, m * h) + 1
+            cdf = np.cumsum(floats[m - 1][gather[:live]], axis=1) / floats[m][:live, None]
+            np.minimum(cdf, 1.0, out=cdf)
+            cdf[reached[:live]] = 1.0
+            tab[:live] = cdf
             coord_cdf[m] = tab
 
         # Boundary shell: the unrank walk of the last selected point (rank

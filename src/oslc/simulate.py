@@ -120,6 +120,12 @@ def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
+# Rows per decode call.  A (512, 24) float64 slice is 96 KiB, so the decoders'
+# per-row temporaries stay under the allocator's 128 KiB mmap threshold and
+# are recycled from the heap rather than mapped afresh for every batch.
+_DECODE_ROWS = 512
+
+
 def _simulate_batch(
     spec: ConstellationSpec, sigma: float, seed: int, batch_index: int, count: int
 ) -> int:
@@ -132,7 +138,11 @@ def _simulate_batch(
     rng = _batch_generator(seed, batch_index)
     lam = spec.draw(rng, count)
     w = lam + (sigma / float(spec.kappa)) * rng.standard_normal((count, spec.n))
-    return int((spec.decode(w) != lam).any(axis=1).sum())
+    errors = 0
+    for lo in range(0, count, _DECODE_ROWS):
+        part = slice(lo, lo + _DECODE_ROWS)
+        errors += int((spec.decode(w[part]) != lam[part]).any(axis=1).sum())
+    return errors
 
 
 _POOL_SPEC: ConstellationSpec | None = None

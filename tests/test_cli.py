@@ -224,18 +224,33 @@ class TestUsageErrors:
          ("--threads", "0")],
     )
     def test_bad_run_budget_exits_2(self, tmp_path, flags):
-        # a separate process with a timeout, so a loop that never advances
-        # fails the test instead of hanging the suite
-        env = dict(os.environ, PYTHONPATH=str(Path(oslc.__file__).parents[1]))
         argv = ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "14",
                 "--max-trials", "4096", "--out", str(tmp_path / "x.csv"), *flags]
-        proc = subprocess.run(
-            [sys.executable, "-m", "oslc.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("oslc: ")
-        assert not (tmp_path / "x.csv").exists()
+        assert_usage_error(argv, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("beta", ["0", "9"])
+    @pytest.mark.parametrize("command", ["ser", "indoor"])
+    def test_beta_out_of_range_exits_2(self, tmp_path, command, beta):
+        # beta = 0 would end in a ZeroDivisionError traceback, and large
+        # betas in a height scan of minutes.
+        argv = [command, "--scheme", "tcc", "--beta", beta,
+                "--out", str(tmp_path / "x.csv")]
+        assert "beta must be an integer in 1..8" in assert_usage_error(argv, tmp_path / "x.csv")
+
+
+def assert_usage_error(argv, out):
+    """Run ``oslc argv`` in a separate process with a timeout, so a loop that
+    never advances fails the test instead of hanging the suite; it must exit
+    2 with a one-line message and write nothing to ``out``.  Returns stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(oslc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oslc.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("oslc: ")
+    assert not out.exists()
+    return proc.stderr
 
 
 class TestConfigFile:

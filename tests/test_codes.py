@@ -152,28 +152,36 @@ class TestSoftDecode:
         ids=["golay", "hamming8", "even10"],
     )
     def test_block_decoder_matches_exhaustive_scan(self, code):
-        # Rows near a codeword with 0..4 unreliable coordinates, plus rows of
-        # exact ties (zero, rounded or small-integer cost gaps), which the
-        # block decoder must hand to the scan so the lowest-index rule holds.
         assert code._blocks is not None
         rng = np.random.default_rng(11)
         rows = 3000
-        words = code.codebook[rng.integers(0, 1 << code.k, size=rows)]
-        margin = rng.uniform(0.05, 1.0, size=(rows, code.n))
-        for r in range(rows):
-            flip = rng.choice(code.n, size=r % 5, replace=False)
-            margin[r, flip] = -rng.uniform(0.0, 0.3, size=flip.size)
-        delta = np.where(words == 1, -margin, margin)
-        delta[::7] = np.round(delta[::7])
-        delta[::11] = 0.0
-        delta[::13] = rng.normal(size=delta[::13].shape)
-        delta[::5] = rng.integers(-2, 3, size=delta[::5].shape)
+        delta = tie_heavy_deltas(code, rng, rows)
         cost0 = rng.normal(size=(rows, code.n))
         cost1 = cost0 + delta
         scan = np.argmin((cost1 - cost0) @ code.codebook.T.astype(np.float64), axis=1)
         assert np.array_equal(code.soft_ml_decode_batch(cost0, cost1), scan)
         _, sure = code._blocks.decode(cost1 - cost0)
         assert 0 < sure.sum() < rows
+
+    @pytest.mark.parametrize("code", [codes.GOLAY, codes.HAMMING8], ids=["golay", "hamming8"])
+    def test_reused_workspace_matches_fresh_one(self, code):
+        # soft_ml_decode_batch fills one workspace for all the chunks of a
+        # batch; what an earlier chunk left in it, or garbage, must not leak
+        # into a later one.  Chunk sizes shrink as in a batch's last chunk.
+        rng = np.random.default_rng(5)
+        delta = tie_heavy_deltas(code, rng, 1200)
+        work = code._blocks.workspace(512)
+        work[:] = 0xFF  # NaN in every float table, True in every flag
+        lo, unsure = 0, 0
+        for size in (512, 512, 150, 25, 1):
+            chunk = delta[lo : lo + size]
+            lo += size
+            got_idx, got_sure = code._blocks.decode(chunk, work)
+            want_idx, want_sure = code._blocks.decode(chunk)
+            assert np.array_equal(got_idx, want_idx)
+            assert np.array_equal(got_sure, want_sure)
+            unsure += int((~got_sure).sum())
+        assert unsure > 0  # tie rows took part
 
     @given(
         st.lists(
@@ -205,6 +213,23 @@ class TestSoftDecode:
         cost0, cost1 = rng.normal(size=(2, 40, 5))
         idx = repetition.soft_ml_decode_batch(cost0, cost1)
         assert np.array_equal(idx, ((cost1 - cost0).sum(axis=1) < 0).astype(np.int64))
+
+
+def tie_heavy_deltas(code, rng, rows):
+    """cost1 - cost0 rows near a codeword with 0..4 unreliable coordinates,
+    plus rows of exact ties (zero, rounded or small-integer cost gaps), which
+    the block decoder must hand to the scan so the lowest-index rule holds."""
+    words = code.codebook[rng.integers(0, 1 << code.k, size=rows)]
+    margin = rng.uniform(0.05, 1.0, size=(rows, code.n))
+    for r in range(rows):
+        flip = rng.choice(code.n, size=r % 5, replace=False)
+        margin[r, flip] = -rng.uniform(0.0, 0.3, size=flip.size)
+    delta = np.where(words == 1, -margin, margin)
+    delta[::7] = np.round(delta[::7])
+    delta[::11] = 0.0
+    delta[::13] = rng.normal(size=delta[::13].shape)
+    delta[::5] = rng.integers(-2, 3, size=delta[::5].shape)
+    return delta
 
 
 def parity_encode(message):

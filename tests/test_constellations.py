@@ -11,6 +11,7 @@ import pytest
 from oslc import constellations as con
 from oslc.codes import GOLAY
 from oslc.lattices import bdd_half_lattice_batch, in_half_lattice
+from oslc.shells import TdIndexer, TdParams
 
 
 def random_words(rng, spec, count):
@@ -365,3 +366,66 @@ class TestDispatchAndExport:
             con.build_oslc_spec(2, 0.5)
         with pytest.raises(ValueError):
             con.build_oslc_spec(2, -0.1)
+
+    @pytest.mark.parametrize("beta", [0, -1, 9, 2.0, True, "3"])
+    @pytest.mark.parametrize("kind", con.SCHEMES)
+    def test_beta_domain_enforced(self, kind, beta):
+        # beta = 0 would divide by zero in kappa, and beta >= 10 keeps the
+        # height scan busy for minutes.
+        with pytest.raises(ValueError, match="beta must be an integer in 1..8"):
+            con.build_spec(kind, beta, 0.2)
+
+
+def reference_determine_params(n, m_s, alpha, stats):
+    """The height scan on full-width indexers from H = 1: every height's
+    alphabet is found in the whole box TD(n, H, n*H)."""
+    alpha = con._as_fraction(alpha)
+    best = crossing = None
+    h = 1
+    while True:
+        full = TdIndexer(n, h, (n * h) // 2)
+        if full.count >= m_s:
+            sel = full.selection(m_s)
+            peak, avg = stats(sel)
+            bound = avg / (n * alpha)
+            kappa = 1 / max(Fraction(peak), bound)
+            if best is None or kappa > best.kappa:
+                best = con.AlphabetChoice(TdParams(n, h, sel.s_star // 2, m_s), kappa, peak, avg)
+            if crossing is None and (peak >= bound or h >= sel.s_star):
+                crossing = h
+            if crossing is not None and h >= crossing + 6:
+                return best
+        h += 1
+
+
+def _tcc_stats(sel):
+    return sel.max_coord, sel.mean_l1
+
+
+_GOLAY_LAYER_MEAN = Fraction(
+    2 * sum(w * c for w, c in GOLAY.weight_enumerator().items()), 1 << GOLAY.k
+)
+
+
+def _oslc_stats(sel):
+    return con._oslc_stats(sel, avg_code=_GOLAY_LAYER_MEAN)
+
+
+class TestHeightScan:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_even_sum_count_closed_form(self, n):
+        for h in range(7):
+            assert con._even_sum_count(n, h) == TdIndexer(n, h, (n * h) // 2).count
+
+    @pytest.mark.parametrize("stats", ["tcc", "oslc"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24])
+    def test_matches_full_width_scan(self, n, stats):
+        # The fast scan skips heights by their closed-form count and caps
+        # each later indexer at the previous boundary shell; it must pick
+        # the same alphabet as the full-width scan.
+        fn = _tcc_stats if stats == "tcc" else _oslc_stats
+        sizes = sorted({2, 3, 2**n - 1, 2**n + 1, 3**n, 2 ** (2 * n) + 5, 2 ** min(5 * n, 120)})
+        for m_s in sizes:
+            for alpha in (Fraction(1, 20), Fraction(1, 5), Fraction(3, 10), Fraction(9, 20)):
+                assert con.determine_params(n, m_s, alpha, fn) == \
+                    reference_determine_params(n, m_s, alpha, fn), (m_s, alpha)

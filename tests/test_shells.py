@@ -1,5 +1,6 @@
 """Tests for the even-sum truncated-box enumerative indexer."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -25,6 +26,51 @@ def canonical_sort(points):
     return sorted(points, key=lambda p: (sum(p), p))
 
 
+@functools.lru_cache(maxsize=None)
+def full_table(n, h):
+    """N[m][s] for every sum s = 0..n*h, straight from the convolution
+    N[m][s] = sum over v = 0..min(h, s) of N[m-1][s-v]."""
+    rows = [[1] + [0] * (n * h)]
+    for _ in range(n):
+        prev = rows[-1]
+        rows.append([sum(prev[s - v] for v in range(min(h, s) + 1)) for s in range(n * h + 1)])
+    return rows
+
+
+def reference_cdf_rows(n, h, m, s_star):
+    """TdSampler's complete-shell cdf rows for m remaining coordinates,
+    built one row at a time: P(coordinate <= v | sum s)."""
+    full = full_table(n, h)
+    tab = np.ones((s_star + 1, h + 1))
+    for s in range(min(s_star, m * h) + 1):
+        blocks = np.array([float(full[m - 1][s - v]) for v in range(min(h, s) + 1)])
+        row = np.cumsum(blocks) / float(full[m][s])
+        tab[s, :row.size] = np.minimum(row, 1.0)
+        tab[s, row.size - 1] = 1.0
+    return tab
+
+
+def reference_first_coord_counts(n, h, l, m_s):
+    """First-coordinate histogram of the m_s-point prefix, summed shell by
+    shell and block by block from the full table."""
+    full = full_table(n, h)
+    shells = [full[n][s] for s in range(0, min(2 * l, n * h) + 1, 2)]
+    k = next(i for i in range(len(shells)) if sum(shells[:i + 1]) >= m_s)
+    partial = m_s - sum(shells[:k])
+    marg = [sum(full[n - 1][2 * i - v] for i in range(k) if 2 * i >= v) for v in range(h + 1)]
+    acc = taken = 0
+    for v in range(min(h, 2 * k) + 1):
+        acc += full[n - 1][2 * k - v]
+        marg[v] += min(partial, acc) - taken
+        taken = min(partial, acc)
+    return marg
+
+
+def small_cases():
+    """Every (n, h, l) with n <= 8 and h <= 5."""
+    return [(n, h, l) for n in range(1, 9) for h in range(6) for l in range((n * h) // 2 + 1)]
+
+
 class TestCounting:
     def test_tiny_example(self):
         # {0,1}^2, even sum <= 2: exactly (0,0) and (1,1)
@@ -45,6 +91,12 @@ class TestCounting:
     @settings(max_examples=40)
     def test_matches_exhaustive_enumeration(self, n, h, l):
         assert TdIndexer(n, h, l).count == len(enumerate_set(n, h, l))
+
+    def test_tables_are_the_full_tables_cut_at_smax(self):
+        for n, h, l in small_cases():
+            idx = TdIndexer(n, h, l)
+            assert [list(row) for row in idx._table] == \
+                [row[:idx.smax + 1] for row in full_table(n, h)], (n, h, l)
 
     def test_large_counts_are_exact_integers(self):
         big = TdIndexer(24, 43, 106).count
@@ -160,6 +212,13 @@ class TestSelectionStats:
                 assert sel.max_rest_coord == max(max(p[1:]) for p in prefix)
                 assert sel.max_coord == max(max(p) for p in prefix)
 
+    def test_first_coord_counts_match_reference(self):
+        for n, h, l in small_cases():
+            idx = TdIndexer(n, h, l)
+            for m_s in sorted({1, idx.count // 3 + 1, (idx.count + 1) // 2, idx.count}):
+                assert list(idx.selection(m_s).first_coord_counts) == \
+                    reference_first_coord_counts(n, h, l, m_s), (n, h, l, m_s)
+
     def test_one_dimensional_selection_has_no_rest(self):
         sel = TdIndexer(1, 5, 2).selection(3)
         assert sel.max_rest_coord == 0
@@ -259,6 +318,21 @@ class TestSampler:
             s = s - v
             if j + 1 < n:
                 boundary = boundary & (v == sampler._b_vcut[j]) & sampler._b_alive[j + 1]
+
+    def test_cdf_tables_match_row_by_row_reference(self):
+        # The tables are built with one 2-D cumsum per depth; each row must
+        # be bitwise what a per-row cumsum gives.  The 24-dimensional
+        # alphabets of the tcc designs at beta = 2 and 3 add counts past
+        # 2**53, where the float rows round.
+        cases = [(n, h, l, m_s) for n, h, l in small_cases()
+                 for m_s in sorted({1, (TdIndexer(n, h, l).count + 1) // 2,
+                                    TdIndexer(n, h, l).count})]
+        for n, h, l, m_s in cases + [(24, 5, 15, 2**48), (24, 13, 35, 2**72)]:
+            sampler = TdSampler(TdIndexer(n, h, l), m_s)
+            s_star = sampler._s_star
+            for j, table in enumerate(sampler._tables):
+                want = reference_cdf_rows(n, h, n - j, s_star)
+                assert np.array_equal(table[:s_star + 1], want), (n, h, l, m_s, j)
 
 
 class TestParams:

@@ -111,6 +111,18 @@ class TestSimulateSer:
             assert rec.ser == 0.0
             assert rec.trials == 3000
 
+    def test_sliced_decode_counts_every_row(self, cubic_b2, oslc_b4):
+        # _simulate_batch decodes a batch in slices; its count must be that
+        # of one decode of the whole batch, the last short slice included.
+        for spec, osnr in ((oslc_b4, 21.0), (cubic_b2, 12.0)):
+            sigma = float(sim.osnr_to_sigma(osnr))
+            rng = sim._batch_generator(3, 0)
+            lam = spec.draw(rng, 1300)
+            w = lam + (sigma / float(spec.kappa)) * rng.standard_normal(lam.shape)
+            want = int((spec.decode(w) != lam).any(axis=1).sum())
+            assert 0 < want < 1300
+            assert sim._simulate_batch(spec, sigma, 3, 0, 1300) == want
+
     def test_record_bookkeeping(self, cubic_b2):
         rec = sim.simulate_ser(
             cubic_b2, 14.0, seed=5, target_errors=None, max_trials=20000
