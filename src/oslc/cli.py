@@ -110,6 +110,14 @@ def _resolve(args, config: dict, key: str, default):
     return config.get(key, default)
 
 
+def _resolve_int(args, config: dict, key: str, default: int) -> int:
+    """An integer option; ValueError naming ``key`` for any other value, bools included."""
+    value = _resolve(args, config, key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _room_from_config(config: dict) -> RoomConfig:
     try:
         overrides = dict(config.get("room", {}))
@@ -125,6 +133,7 @@ def _cmd_shaping(args, config, argv) -> int:
     out = Path(_resolve(args, config, "out", "shaping.csv"))
     dims = _parse_int_axis(_resolve(args, config, "n", "2:32"))
     alphas = _parse_float_axis(_resolve(args, config, "alpha", "0.2,0.3"))
+    seed = _resolve_int(args, config, "seed", 0)
     rows = []
     for n in dims:
         for alpha in alphas:
@@ -143,7 +152,6 @@ def _cmd_shaping(args, config, argv) -> int:
     header = ("n", "alpha", "t_star", "t_star_approx",
               "sg_db", "sg_db_approx", "mu_star")
     _write_csv(out, header, rows)
-    seed = _resolve(args, config, "seed", 0)
     _write_manifest(out, argv, config, seed, started, [out])
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -155,19 +163,19 @@ def _cmd_ser(args, config, argv) -> int:
     scheme = _resolve(args, config, "scheme", None)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    beta = int(_resolve(args, config, "beta", 5))
+    beta = _resolve_int(args, config, "beta", 5)
     alpha = float(_resolve(args, config, "alpha", 0.2))
     grid = _parse_float_axis(_resolve(args, config, "osnr", "24:29:1"))
-    seed = int(_resolve(args, config, "seed", 0))
-    threads = int(_resolve(args, config, "threads", 1))
+    seed = _resolve_int(args, config, "seed", 0)
+    threads = _resolve_int(args, config, "threads", 1)
     spec = build_spec(scheme, beta, alpha)
     records = ser_sweep(
         spec,
         grid,
         seed=seed,
-        target_errors=int(_resolve(args, config, "target_errors", 100)),
-        max_trials=int(_resolve(args, config, "max_trials", 20_000_000)),
-        batch_size=int(_resolve(args, config, "batch_size", 4096)),
+        target_errors=_resolve_int(args, config, "target_errors", 100),
+        max_trials=_resolve_int(args, config, "max_trials", 20_000_000),
+        batch_size=_resolve_int(args, config, "batch_size", 4096),
         threads=threads,
     )
     header = ("osnr_db", "trials", "errors", "ser", "ci95_low", "ci95_high",
@@ -200,12 +208,12 @@ def _cmd_indoor(args, config, argv) -> int:
     scheme = _resolve(args, config, "scheme", None)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    beta = int(_resolve(args, config, "beta", 5))
+    beta = _resolve_int(args, config, "beta", 5)
     alpha = float(_resolve(args, config, "alpha", 0.2))
-    seed = int(_resolve(args, config, "seed", 0))
-    threads = int(_resolve(args, config, "threads", 1))
-    positions = int(_resolve(args, config, "positions", 100))
-    trials = int(_resolve(args, config, "trials_per_pos", 10_000))
+    seed = _resolve_int(args, config, "seed", 0)
+    threads = _resolve_int(args, config, "threads", 1)
+    positions = _resolve_int(args, config, "positions", 100)
+    trials = _resolve_int(args, config, "trials_per_pos", 10_000)
     grid_step = float(_resolve(args, config, "grid_step", 0.25))
     room = _room_from_config(config)
     spec = build_spec(scheme, beta, alpha)
@@ -251,7 +259,7 @@ def _cmd_indoor(args, config, argv) -> int:
 def _cmd_verify(args, config, argv) -> int:
     started = time.perf_counter()
     out = Path(_resolve(args, config, "out", "verify.json"))
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _resolve_int(args, config, "seed", 0)
     code = GOLAY
     if getattr(args, "corrupt_code", False):
         generator = GOLAY.generator.copy()

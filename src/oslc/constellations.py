@@ -289,15 +289,20 @@ class ConstellationSpec(ABC):
         return TdSampler(self.indexer, self.td.m_s)
 
 
+# Byte maps between bit values 0/1 and the base-2 digits "0"/"1".
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bits_to_int(bits: np.ndarray) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+    """Big-endian value of a non-empty uint8 0/1 vector."""
+    return int(bits.tobytes().translate(_TO_DIGITS), 2)
 
 
-def _int_to_bits(value: int, width: int) -> list[int]:
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+def _int_to_bits(value: int, width: int) -> np.ndarray:
+    """The ``width`` big-endian bits of 0 <= value < 2**width, int64 (width >= 1)."""
+    digits = format(value, f"0{width}b").encode().translate(_FROM_DIGITS)
+    return np.frombuffer(digits, dtype=np.uint8).astype(np.int64)
 
 
 def _alphabet_index(spec: ConstellationSpec, d: np.ndarray, what: str) -> int:
@@ -362,15 +367,14 @@ class OslcSpec(ConstellationSpec):
         return _coset_points(d, c, int(bits[-1]))
 
     def _demap(self, lam):
-        parities = lam % 2
-        if (parities != parities[0]).any():
+        a = int(lam[0]) & 1
+        even = lam - a
+        if (even & 1).any():
             raise DemapError("mixed coordinate parities")
-        a = int(parities[0])
+        c = (even >> 1) & 1
         if a == 0:
-            c = (lam // 2) % 2
             d4 = lam - 2 * c
         else:
-            c = ((lam - 1) // 2) % 2
             first = int(lam[0]) - 5  # assume the +5 translation branch, then repair
             c[0] = (first % 4) // 2
             d_first = (first - 2 * int(c[0])) // 4
@@ -379,17 +383,12 @@ class OslcSpec(ConstellationSpec):
             shift = XI_MINUS if d_first % 2 else XI_PLUS
             d4 = lam - 2 * c - shift
             d4[0] = 4 * d_first
-        if (d4 % 4).any():
+        if (d4 & 3).any():
             raise DemapError("residue is not a doubled half-lattice point")
         if not self.code.is_codeword(c):
             raise DemapError("code layer is not a codeword")
-        index = _alphabet_index(self, d4 // 4, "shaping point")
-        return np.array(
-            _int_to_bits(index, self.k_s)
-            + [int(b) for b in self.code.message_of(c)]
-            + [a],
-            dtype=np.int64,
-        )
+        index = _alphabet_index(self, d4 >> 2, "shaping point")
+        return np.concatenate((_int_to_bits(index, self.k_s), self.code.message_of(c), [a]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,8 +429,7 @@ class TccSpec(ConstellationSpec):
         return self.indexer.unrank(_bits_to_int(bits))
 
     def _demap(self, lam):
-        index = _alphabet_index(self, lam, "point")
-        return np.array(_int_to_bits(index, self.k_s), dtype=np.int64)
+        return _int_to_bits(_alphabet_index(self, lam, "point"), self.k_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,35 +498,38 @@ def build_spec(kind: str, beta: int, alpha) -> ConstellationSpec:
 
 
 def _check_bits(spec: ConstellationSpec, bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.int64).ravel()
+    """Flat uint8 copy of ``bits``; ValueError unless it is ``bits_per_symbol`` 0s and 1s."""
+    arr = np.asarray(bits).ravel()
     if arr.size != spec.bits_per_symbol:
-        raise ValueError(
-            f"expected {spec.bits_per_symbol} bits, got {arr.size}"
-        )
-    if ((arr != 0) & (arr != 1)).any():
+        raise ValueError(f"expected {spec.bits_per_symbol} bits, got {arr.size}")
+    if not set(arr.tolist()) <= {0, 1}:
         raise ValueError("bits must be 0 or 1")
-    return arr
+    return arr.astype(np.uint8)
 
 
 def map_bits(spec: ConstellationSpec, bits) -> np.ndarray:
     """Map one symbol's bits to an unscaled integer constellation point.
 
-    The bit layout is the design's own; see the ConstellationSpec subclasses.
+    ``bits`` is ``spec.bits_per_symbol`` values in C order, each exactly 0 or
+    1, else ValueError.  The bit layout is the design's own; see the
+    ConstellationSpec subclasses.
     """
     return spec._map(_check_bits(spec, bits))
 
 
 def demap_point(spec: ConstellationSpec, point) -> np.ndarray:
-    """Invert map_bits.  Raises DemapError for vectors outside the codebook."""
+    """Invert map_bits, returning int64 bits.  A wrong-length point raises
+    ValueError; non-integer or non-finite coordinates, coordinates beyond the
+    int64 range and integer vectors outside the codebook raise DemapError."""
     lam = np.asarray(point)
     if lam.shape != (spec.n,):
         raise ValueError(f"expected a length-{spec.n} point")
     if not np.issubdtype(lam.dtype, np.integer):
         rounded = np.rint(lam)
-        if not np.array_equal(rounded, lam):
-            raise DemapError("point has non-integer coordinates")
+        if not (np.array_equal(rounded, lam) and (np.abs(rounded) < 2.0**63).all()):
+            raise DemapError("point coordinates must be integers inside the int64 range")
         lam = rounded
-    return spec._demap(lam.astype(np.int64))
+    return spec._demap(lam.astype(np.int64, copy=False))
 
 
 def spec_to_json(spec: ConstellationSpec) -> dict:

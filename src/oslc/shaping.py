@@ -83,20 +83,31 @@ def _check_alpha(alpha: float) -> None:
 
 
 @lru_cache(maxsize=None)
-def _comb_row(n: int) -> tuple[int, ...]:
-    return tuple(math.comb(n, k) for k in range(n + 1))
+def _signed_comb_row(n: int) -> tuple[float, ...]:
+    """(-1)^k C(n, k) as floats, k = 0..n."""
+    return tuple((-1.0) ** k * math.comb(n, k) for k in range(n + 1))
 
 
-def _kahan_alternating(terms) -> float:
-    """Compensated sum; the alternating series below cancel heavily."""
-    total = 0.0
-    c = 0.0
-    for term in terms:
-        y = term - c
-        t = total + y
-        c = (t - total) - y
-        total = t
+def _alternating_sum(n: int, t: float, power: int) -> float:
+    """sum_k C(n,k) (-1)^k (t-k)^power / power! over k <= t, compensated
+    (Kahan): the alternating series cancel heavily."""
+    row = _signed_comb_row(n)
+    fact = math.factorial(power)
+    total = c = 0.0
+    for k in range(min(n, math.floor(t)) + 1):
+        y = row[k] * (t - k) ** power / fact - c
+        tk = total + y
+        c = (tk - total) - y
+        total = tk
     return total
+
+
+def _alternating_exact(n: int, t: Fraction, power: int) -> Fraction:
+    """Exact rational form of ``_alternating_sum``."""
+    acc = Fraction(0)
+    for k in range(min(n, math.floor(t)) + 1):
+        acc += (-1) ** k * math.comb(n, k) * (t - k) ** power
+    return acc / math.factorial(power)
 
 
 def volume(n: int, t: float) -> float:
@@ -112,22 +123,15 @@ def volume(n: int, t: float) -> float:
     if not 0.0 <= t <= n:
         raise ValueError(f"t must lie in [0, {n}], got {t!r}")
     if n > _EXACT_N:
-        return float(_volume_exact(n, Fraction(t)))
+        return float(_alternating_exact(n, Fraction(t), n))
+    return _volume(n, t)
+
+
+def _volume(n: int, t: float) -> float:
+    """Float-regime ``volume`` without the argument checks."""
     if 2.0 * t > n:
-        return min(max(1.0 - volume(n, n - t), 0.0), 1.0)
-    row = _comb_row(n)
-    fact = math.factorial(n)
-    kmax = min(n, math.floor(t))
-    terms = ((-1.0) ** k * row[k] * (t - k) ** n / fact for k in range(kmax + 1))
-    return min(max(_kahan_alternating(terms), 0.0), 1.0)
-
-
-def _volume_exact(n: int, t: Fraction) -> Fraction:
-    kmax = min(n, math.floor(t))
-    acc = Fraction(0)
-    for k in range(kmax + 1):
-        acc += (-1) ** k * math.comb(n, k) * (t - k) ** n
-    return acc / math.factorial(n)
+        return min(max(1.0 - _volume(n, n - t), 0.0), 1.0)
+    return min(max(_alternating_sum(n, t, n), 0.0), 1.0)
 
 
 def _first_moment_integral(n: int, t: float) -> float:
@@ -139,11 +143,7 @@ def _first_moment_integral(n: int, t: float) -> float:
     """
     if 2.0 * t > n:
         return t - 0.5 * n + _first_moment_integral(n, n - t)
-    row = _comb_row(n)
-    fact = math.factorial(n + 1)
-    kmax = min(n, math.floor(t))
-    terms = ((-1.0) ** k * row[k] * (t - k) ** (n + 1) / fact for k in range(kmax + 1))
-    return _kahan_alternating(terms)
+    return _alternating_sum(n, t, n + 1)
 
 
 def avg_first_moment(n: int, t: float) -> float:
@@ -156,18 +156,18 @@ def avg_first_moment(n: int, t: float) -> float:
     _check_dim(n)
     if not 0.0 < t <= n:
         raise ValueError(f"t must lie in (0, {n}], got {t!r}")
+    return _avg_first_moment(n, t)
+
+
+def _avg_first_moment(n: int, t: float) -> float:
+    """``avg_first_moment`` without the argument checks."""
     if n > _EXACT_N:
         tf = Fraction(t)
-        v = _volume_exact(n, tf)
+        v = _alternating_exact(n, tf, n)
         if v == 0:
             raise ValueError(f"zero-volume region at t={t!r}")
-        kmax = min(n, math.floor(tf))
-        j = Fraction(0)
-        for k in range(kmax + 1):
-            j += (-1) ** k * math.comb(n, k) * (tf - k) ** (n + 1)
-        j /= math.factorial(n + 1)
-        return float((tf - j / v) / n)
-    v = volume(n, t)
+        return float((tf - _alternating_exact(n, tf, n + 1) / v) / n)
+    v = _volume(n, t)
     if v <= 0.0:
         raise ValueError(f"zero-volume region at t={t!r}")
     return (t - _first_moment_integral(n, t) / v) / n
@@ -236,7 +236,7 @@ def solve_t_star(n: int, alpha: float) -> ShapingSolution:
         lo, hi = n * alpha, float(n)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if avg_first_moment(n, mid) < alpha:
+            if _avg_first_moment(n, mid) < alpha:
                 lo = mid
             else:
                 hi = mid
@@ -253,7 +253,7 @@ def solve_t_star(n: int, alpha: float) -> ShapingSolution:
         sg_db=sg_db,
         mu_star=mu,
         t_star_approx=n * alpha + 1.0 / mu,
-        sg_db_approx=second_order_sg_db(n, alpha),
+        sg_db_approx=_second_order_sg_db(n, alpha, mu),
     )
 
 
@@ -263,8 +263,10 @@ def h_max(alpha: float) -> float:
     e^{-mu* x}.  Closed form ln((1 - e^{-mu*})/mu*) + mu*·alpha, verified
     against quadrature in the test suite.
     """
-    _check_alpha(alpha)
-    mu = solve_mu_star(alpha)
+    return _h_max(alpha, solve_mu_star(alpha))
+
+
+def _h_max(alpha: float, mu: float) -> float:
     return math.log(-math.expm1(-mu) / mu) + mu * alpha
 
 
@@ -277,8 +279,11 @@ def second_order_sg_db(n: int, alpha: float) -> float:
     rather than silently flushing to NaN.
     """
     _check_dim(n)
-    _check_alpha(alpha)
-    mu = solve_mu_star(alpha)
+    return _second_order_sg_db(n, alpha, solve_mu_star(alpha))
+
+
+def _second_order_sg_db(n: int, alpha: float, mu: float) -> float:
+    """``second_order_sg_db`` at a known mu* = solve_mu_star(alpha)."""
     inner = -mu + 2.0 * alpha * mu + mu * mu * alpha * (1.0 - alpha)
     if inner <= 0.0:
         raise ValueError(
@@ -287,7 +292,7 @@ def second_order_sg_db(n: int, alpha: float) -> float:
         )
     omega = 1.0 - 0.5 * math.log(2.0 * math.pi * inner)
     return _DB * (
-        h_max(alpha) - math.log(2.0 * alpha) - math.log(n) / (2.0 * n) + omega / n
+        _h_max(alpha, mu) - math.log(2.0 * alpha) - math.log(n) / (2.0 * n) + omega / n
     )
 
 

@@ -16,6 +16,10 @@ statistics) is derived from it.  The table is only as wide as the
 indexer's largest admissible sum smax = min(2L, n*H): no count the indexer
 needs reads a column beyond it, and the alphabets in use have smax far
 below n*H.
+
+Rank, unrank, the selection statistics and the sampler all read one cache
+of cumulative block rows per indexer, ``TdIndexer._cum_rows[m][s]``
+(m < n, s <= smax), whose rows are built from the table on first use.
 """
 
 from __future__ import annotations
@@ -87,42 +91,28 @@ class TdIndexer:
         if self.smax % 2 == 1:
             self.smax -= 1
         self._table = _composition_table(n, h, self.smax)
-        shells = []
-        cum = []
-        total = 0
-        for s in range(0, self.smax + 1, 2):
-            c = self._table[n][s]
-            shells.append(c)
-            total += c
-            cum.append(total)
-        self.shell_sizes = shells          # per even shell s = 0, 2, 4, ...
-        self.shell_cum = cum               # cumulative counts, same order
-        self.count = total
-        self._cum_cache: dict[tuple[int, int], list[int]] = {}
+        self.shell_sizes = list(self._table[n][::2])         # per even shell s = 0, 2, 4, ...
+        self.shell_cum = list(accumulate(self.shell_sizes))  # cumulative counts, same order
+        self.count = self.shell_cum[-1]
+        # _cum_rows[m][s] is the row _cum_blocks(m, s), built on first use.
+        self._cum_rows = [[None] * (self.smax + 1) for _ in range(n)]
 
     # -- counting helpers -------------------------------------------------
-
-    def _sub_count(self, m: int, s: int) -> int:
-        """Number of vectors in {0..h}^m with sum exactly s (0 if out of range)."""
-        if s < 0 or s > m * self.h:
-            return 0
-        return self._table[m][s]
 
     def _cum_blocks(self, m: int, s: int) -> list[int]:
         """Cumulative block sizes over the current coordinate value v = 0, 1, ...
 
         Entry v holds the number of vectors in {0..h}^(m+1) with sum s whose
-        first coordinate is <= v.  Cached because rank/unrank revisit the same
-        (m, s) states constantly.
+        first coordinate is <= v, for s <= smax.  Cached in ``_cum_rows``,
+        which rank/unrank read directly: they revisit the same (m, s) states
+        constantly, and call this only to fill an empty slot.
         """
-        row = self._cum_cache.get((m, s))
+        row = self._cum_rows[m][s]
         if row is None:
-            acc = 0
-            row = []
-            for v in range(min(self.h, s) + 1):
-                acc += self._sub_count(m, s - v)
-                row.append(acc)
-            self._cum_cache[(m, s)] = row
+            counts = self._table[m]
+            row = self._cum_rows[m][s] = list(
+                accumulate(counts[s - v] for v in range(min(self.h, s) + 1))
+            )
         return row
 
     def shell_of(self, index: int) -> tuple[int, int]:
@@ -138,33 +128,34 @@ class TdIndexer:
 
     def unrank(self, index: int) -> np.ndarray:
         s, r = self.shell_of(index)
-        out = np.empty(self.n, dtype=np.int64)
-        for j in range(self.n):
-            row = self._cum_blocks(self.n - 1 - j, s)
+        rows = self._cum_rows
+        out = []
+        for m in range(self.n - 1, -1, -1):
+            row = rows[m][s] or self._cum_blocks(m, s)
             v = bisect.bisect_right(row, r)
             if v:
                 r -= row[v - 1]
-            out[j] = v
+            out.append(v)
             s -= v
-        return out
+        return np.array(out, dtype=np.int64)
 
     def rank(self, point) -> int:
         pt = np.asarray(point, dtype=np.int64)
         if pt.shape != (self.n,):
             raise ValueError(f"expected a length-{self.n} point")
-        if (pt < 0).any() or (pt > self.h).any():
+        vals = pt.tolist()
+        if min(vals) < 0 or max(vals) > self.h:
             raise ValueError("coordinate out of range")
-        s = int(pt.sum())
+        s = sum(vals)
         if s % 2 == 1 or s > 2 * self.l:
             raise ValueError("point outside the indexed set")
         k = s // 2
         r = self.shell_cum[k - 1] if k > 0 else 0
-        rem = s
-        for j in range(self.n):
-            v = int(pt[j])
+        rows = self._cum_rows
+        for m, v in zip(range(self.n - 1, -1, -1), vals):
             if v:
-                r += self._cum_blocks(self.n - 1 - j, rem)[v - 1]
-            rem -= v
+                r += (rows[m][s] or self._cum_blocks(m, s))[v - 1]
+                s -= v
         return r
 
     # -- statistics over a canonical prefix (the selected alphabet) -------
@@ -279,13 +270,7 @@ class TdSampler:
         s_star, partial = sel.s_star, sel.partial
         k_star = s_star // 2
 
-        cum = np.empty(k_star + 1)
-        running = 0
-        for i in range(k_star):
-            running += indexer.shell_sizes[i]
-            cum[i] = running / m_s
-        cum[k_star] = 1.0
-        self._shell_cdf = cum
+        self._shell_cdf = np.array([c / m_s for c in indexer.shell_cum[:k_star]] + [1.0])
         self._s_star = s_star
 
         # Conditional cdf tables for complete shells: coord_cdf[m][s, v] is

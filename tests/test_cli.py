@@ -293,6 +293,33 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("oslc: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(("command", "key", "value"), [
+        ("ser", "beta", 2.7),
+        ("ser", "threads", True),
+        ("ser", "target_errors", None),
+        ("ser", "max_trials", 4096.0),
+        ("ser", "batch_size", "64"),
+        ("ser", "seed", False),
+        ("indoor", "beta", 2.0),
+        ("indoor", "positions", None),
+        ("indoor", "trials_per_pos", 10.5),
+        ("indoor", "threads", "2"),
+        ("shaping", "seed", 1.5),
+        ("verify", "seed", True),
+    ])
+    def test_non_integer_option_exits_2(self, tmp_path, capsys, command, key, value):
+        # int() would truncate 2.7 to 2, read true as 1 and fail on null
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scheme": "cubic", "beta": 2, "osnr": "15", "max_trials": 4096,
+            "positions": 2, "trials_per_pos": 10, "grid_step": 0.5, key: value,
+        }), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"oslc: {key} must be an integer")
+        assert not out.exists()
+
     def test_room_overrides_reach_the_survey(self, tmp_path):
         cfg = tmp_path / "room.json"
         cfg.write_text(json.dumps({"room": {"fov_deg": 5.0}}), encoding="utf-8")

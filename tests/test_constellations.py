@@ -1,12 +1,16 @@
 """Tests for constellation construction, scaling, and bit mapping."""
 
+import hashlib
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oslc import constellations as con
 from oslc.codes import GOLAY
@@ -226,6 +230,77 @@ class TestMapping:
         with pytest.raises(ValueError):
             con.map_bits(oslc_b4, np.zeros(95, dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", [0.7, 2, -1, np.nan, np.inf])
+    def test_non_bit_values_rejected(self, tcc_b2, bad):
+        # a float bit must not be truncated to 0 or 1 on its way in
+        bits = np.zeros(tcc_b2.bits_per_symbol)
+        bits[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                con.map_bits(tcc_b2, bits)
+
+    @pytest.mark.parametrize("kind", con.SCHEMES)
+    def test_bit_dtypes_map_alike(self, kind):
+        spec = con.build_spec(kind, 2, 0.2)
+        word = np.random.default_rng(29).integers(0, 2, spec.bits_per_symbol)
+        want = con.map_bits(spec, word)
+        assert want.dtype == np.int64
+        for same in (word.astype(bool), word.astype(np.float64), word.astype(np.uint8),
+                     word.tolist(), word.reshape(spec.n, spec.beta)):
+            assert np.array_equal(con.map_bits(spec, same), want)
+
+
+def bits_to_int_loop(bits):
+    """Reference big-endian conversion, one bit at a time."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | int(b)
+    return value
+
+
+def int_to_bits_loop(value, width):
+    """Reference inverse of ``bits_to_int_loop``."""
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=192))
+@example([0])
+@example([1])
+@example([0] * 191 + [1])
+@example([1] + [0] * 191)
+@example([1] * 192)
+@example([0] * 192)
+def test_bit_conversions_match_per_bit_loops(bits):
+    width = len(bits)
+    value = bits_to_int_loop(bits)
+    assert con._bits_to_int(np.array(bits, dtype=np.uint8)) == value
+    back = con._int_to_bits(value, width)
+    assert back.dtype == np.int64
+    assert back.tolist() == int_to_bits_loop(value, width) == bits
+
+
+# SHA-256 of map_bits over the words of ``_golden_words``, for every scheme
+# at beta 2 and 5 (alpha 0.2): it pins every coordinate of those points.
+MAP_DIGEST = "c9aee981e4b0192015419140db925e5219fdc9a54a7ae54e6860be447367fa07"
+
+
+def _golden_words(width):
+    rows = np.random.default_rng(7).integers(0, 2, size=(30, width))
+    return [np.zeros(width, dtype=np.int64), np.ones(width, dtype=np.int64), *rows]
+
+
+def test_mapped_points_match_golden_digest():
+    digest = hashlib.sha256()
+    for kind in con.SCHEMES:
+        for beta in (2, 5):
+            spec = con.build_spec(kind, beta, 0.2)
+            for word in _golden_words(spec.bits_per_symbol):
+                point = con.map_bits(spec, word)
+                assert np.array_equal(con.demap_point(spec, point), word)
+                digest.update(point.astype(np.int64).tobytes())
+    assert digest.hexdigest() == MAP_DIGEST
+
 
 class TestDemapping:
     def test_round_trip_large_sample(self, oslc_b4):
@@ -270,6 +345,22 @@ class TestDemapping:
     def test_non_integer_point_rejected(self, oslc_b4):
         with pytest.raises(con.DemapError):
             con.demap_point(oslc_b4, np.full(24, 0.5))
+
+    @pytest.mark.parametrize("kind", con.SCHEMES)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 2.0**63, -(2.0**63), 1e300])
+    def test_non_finite_or_huge_coordinate_rejected_before_the_cast(self, kind, value):
+        spec = con.build_spec(kind, 2, 0.2)
+        point = np.zeros(24)
+        point[3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(con.DemapError):
+                con.demap_point(spec, point)
+
+    def test_float_point_demaps_like_its_integer_twin(self, oslc_b4):
+        word = random_words(np.random.default_rng(31), oslc_b4, 1)[0]
+        lam = con.map_bits(oslc_b4, word)
+        assert np.array_equal(con.demap_point(oslc_b4, lam.astype(np.float64)), word)
 
     def test_wrong_shape_rejected(self, oslc_b4):
         # dimension mismatch is a caller bug, not a channel outcome, so it

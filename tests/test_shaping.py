@@ -1,5 +1,6 @@
 """Tests for the shaping-geometry solvers and tail approximations."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -96,6 +97,17 @@ class TestSolveTStar:
         for alpha in (0.2, 0.3):
             gains = [shaping.solve_t_star(n, alpha).sg_db for n in range(1, 33)]
             assert all(b >= a - 1e-10 for a, b in zip(gains, gains[1:]))
+
+    def test_table_matches_golden_digest(self):
+        # SHA-256 of repr(solve_t_star(n, alpha)), n = 2..32, alpha 0.2 and
+        # 0.3: every field of every row that `oslc shaping` prints by default.
+        digest = hashlib.sha256()
+        for n in range(2, 33):
+            for alpha in (0.2, 0.3):
+                digest.update(repr(shaping.solve_t_star(n, alpha)).encode())
+        assert digest.hexdigest() == (
+            "346d73a0047521a13392ebdc9736037720da98bb25eb796d04c137609e535737"
+        )
 
 
 class TestMuStar:

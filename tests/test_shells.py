@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oslc.constellations import build_spec
 from oslc.shells import TdIndexer, TdParams, TdSampler
 
 
@@ -158,6 +161,74 @@ class TestRankUnrank:
     def test_fresh_indexers_agree(self):
         p = TdIndexer(6, 3, 4).unrank(5)
         assert TdIndexer(6, 3, 4).rank(p) == 5
+
+
+class DictCacheWalk:
+    """Reference rank/unrank: the per-coordinate walk over cumulative block
+    rows kept in a dict keyed by (m, s), with bounds-checked table reads."""
+
+    def __init__(self, indexer):
+        self.idx = indexer
+        self.cache = {}
+
+    def _sub_count(self, m, s):
+        if s < 0 or s > m * self.idx.h:
+            return 0
+        return self.idx._table[m][s]
+
+    def blocks(self, m, s):
+        row = self.cache.get((m, s))
+        if row is None:
+            acc, row = 0, []
+            for v in range(min(self.idx.h, s) + 1):
+                acc += self._sub_count(m, s - v)
+                row.append(acc)
+            self.cache[(m, s)] = row
+        return row
+
+    def unrank(self, index):
+        s, r = self.idx.shell_of(index)
+        out = []
+        for j in range(self.idx.n):
+            row = self.blocks(self.idx.n - 1 - j, s)
+            v = bisect_right(row, r)
+            if v:
+                r -= row[v - 1]
+            out.append(v)
+            s -= v
+        return out
+
+    def rank(self, point):
+        s = sum(point)
+        k = s // 2
+        r = self.idx.shell_cum[k - 1] if k > 0 else 0
+        for j, v in enumerate(point):
+            if v:
+                r += self.blocks(self.idx.n - 1 - j, s)[v - 1]
+            s -= v
+        return r
+
+
+@pytest.mark.parametrize("beta", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["oslc", "tcc"])
+def test_rank_unrank_match_dict_cache_walk(kind, beta):
+    spec = build_spec(kind, beta, 0.2)
+    idx, m_s = spec.indexer, spec.td.m_s
+    ref = DictCacheWalk(idx)
+    rng = random.Random(beta)
+    first_in_boundary_shell = idx.shell_cum[spec.selection.s_star // 2 - 1]
+    picks = [0, 1, 2, m_s - 2, m_s - 1, first_in_boundary_shell - 1, first_in_boundary_shell]
+    picks += [rng.randrange(m_s) for _ in range(150)]
+    for i in picks:
+        want = ref.unrank(i)
+        got = idx.unrank(i)
+        assert got.dtype == np.int64 and got.tolist() == want, i
+        assert idx.rank(got) == ref.rank(want) == i
+    # every cached row is the reference row
+    for m, rows in enumerate(idx._cum_rows):
+        for s, row in enumerate(rows):
+            if row is not None:
+                assert row == ref.blocks(m, s), (m, s)
 
 
 class TestSelectionStats:
