@@ -103,19 +103,23 @@ def _write_manifest(
     return path
 
 
-def _resolve(args, config: dict, key: str, default):
+def _resolve(args, config: dict, key: str, default, kinds=str, what="a string"):
+    """The flag ``key``, else its config entry, else ``default``: an instance
+    of ``kinds`` other than a bool, or ValueError naming ``key``."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+    if value is None:
+        value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def _resolve_int(args, config: dict, key: str, default: int) -> int:
-    """An integer option; ValueError naming ``key`` for any other value, bools included."""
-    value = _resolve(args, config, key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+    return _resolve(args, config, key, default, int, "an integer")
+
+
+def _resolve_float(args, config: dict, key: str, default: float) -> float:
+    return float(_resolve(args, config, key, default, (int, float), "a number"))
 
 
 def _room_from_config(config: dict) -> RoomConfig:
@@ -160,11 +164,11 @@ def _cmd_shaping(args, config, argv) -> int:
 def _cmd_ser(args, config, argv) -> int:
     started = time.perf_counter()
     out = Path(_resolve(args, config, "out", "ser.csv"))
-    scheme = _resolve(args, config, "scheme", None)
+    scheme = _resolve(args, config, "scheme", None, what=f"one of {SCHEMES}")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     beta = _resolve_int(args, config, "beta", 5)
-    alpha = float(_resolve(args, config, "alpha", 0.2))
+    alpha = _resolve_float(args, config, "alpha", 0.2)
     grid = _parse_float_axis(_resolve(args, config, "osnr", "24:29:1"))
     seed = _resolve_int(args, config, "seed", 0)
     threads = _resolve_int(args, config, "threads", 1)
@@ -205,16 +209,16 @@ def _cmd_ser(args, config, argv) -> int:
 def _cmd_indoor(args, config, argv) -> int:
     started = time.perf_counter()
     out = Path(_resolve(args, config, "out", "indoor.csv"))
-    scheme = _resolve(args, config, "scheme", None)
+    scheme = _resolve(args, config, "scheme", None, what=f"one of {SCHEMES}")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     beta = _resolve_int(args, config, "beta", 5)
-    alpha = float(_resolve(args, config, "alpha", 0.2))
+    alpha = _resolve_float(args, config, "alpha", 0.2)
     seed = _resolve_int(args, config, "seed", 0)
     threads = _resolve_int(args, config, "threads", 1)
     positions = _resolve_int(args, config, "positions", 100)
     trials = _resolve_int(args, config, "trials_per_pos", 10_000)
-    grid_step = float(_resolve(args, config, "grid_step", 0.25))
+    grid_step = _resolve_float(args, config, "grid_step", 0.25)
     room = _room_from_config(config)
     spec = build_spec(scheme, beta, alpha)
 
@@ -290,8 +294,6 @@ def _cmd_verify(args, config, argv) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-    common.add_argument("--threads", type=int,
-                        help="worker processes for Monte Carlo runs (default 1)")
     common.add_argument("--out", help="primary output path")
     common.add_argument("--config",
                         help="JSON file of option defaults (flags win)")
@@ -323,6 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ser.add_argument("--target-errors", type=int, dest="target_errors")
     p_ser.add_argument("--max-trials", type=int, dest="max_trials")
     p_ser.add_argument("--batch-size", type=int, dest="batch_size")
+    p_ser.add_argument("--threads", type=int, help="worker processes (default 1)")
     p_ser.set_defaults(func=_cmd_ser)
 
     p_indoor = sub.add_parser(
@@ -337,6 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="symbols per position (default 10000)")
     p_indoor.add_argument("--grid-step", type=float, dest="grid_step",
                           help="heatmap spacing in meters (default 0.25)")
+    p_indoor.add_argument("--threads", type=int, help="worker processes (default 1)")
     p_indoor.set_defaults(func=_cmd_indoor)
 
     p_verify = sub.add_parser(

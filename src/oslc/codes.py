@@ -51,13 +51,14 @@ class BinaryBlockCode:
         self.name = name or f"({self.n},{self.k})"
         if self.k > 16:
             raise ValueError("exhaustive codebook limited to k <= 16")
+        # message_of and is_codeword read the message off the first k bits
+        if not np.array_equal(g[:, : self.k], np.eye(self.k, dtype=np.uint8)):
+            raise ValueError(f"{self.name}: generator must be systematic, [I | B]")
+        self._place = 1 << np.arange(self.k, dtype=np.int64)
         msgs = (np.arange(1 << self.k, dtype=np.uint32)[:, None]
                 >> np.arange(self.k, dtype=np.uint32)) & 1
         self.codebook = (msgs.astype(np.uint8) @ g) % 2
         weights = self.codebook.sum(axis=1)
-        if len(np.unique(self.codebook @ (1 << np.arange(self.n, dtype=object)))) \
-                != 1 << self.k:
-            raise ValueError(f"{self.name}: generator rows are not independent")
         self.d_min = int(weights[1:].min()) if self.k > 0 else self.n
         if d_min is not None and self.d_min != d_min:
             raise ValueError(
@@ -85,8 +86,7 @@ class BinaryBlockCode:
         w = np.asarray(word, dtype=np.uint8) % 2
         if w.shape != (self.n,):
             return False
-        idx = int(w[: self.k] @ (1 << np.arange(self.k, dtype=np.uint64)))
-        return bool(np.array_equal(self.codebook[idx], w))
+        return self.codebook[w[: self.k] @ self._place].tobytes() == w.tobytes()
 
     def weight_enumerator(self) -> dict[int, int]:
         """Exhaustive weight distribution {weight: count} over all codewords."""

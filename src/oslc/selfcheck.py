@@ -135,17 +135,28 @@ def _check_dn_nearest(rng):
     return True, "300 exhaustive comparisons in dimension 4"
 
 
-def _check_half_lattice_bdd(code: BinaryBlockCode, rng):
-    count = 400
+def _half_lattice_points(code: BinaryBlockCode, rng, count: int, span: int):
+    """``count`` half-lattice points c + 2u: c a codeword, u with an even sum."""
     c = code.codebook[rng.integers(0, 1 << code.k, count)].astype(np.int64)
-    u = rng.integers(-4, 5, (count, code.n))
+    u = rng.integers(-span, span + 1, (count, code.n))
     fix = (u.sum(axis=1) % 2).astype(bool)
     u[fix, 0] += 1
-    v = c + 2 * u
-    noise = rng.standard_normal((count, code.n))
-    noise *= (0.99 * math.sqrt(8) / 2) * rng.random(count)[:, None] / np.linalg.norm(
+    return c + 2 * u
+
+
+def _ball_noise(rng, count: int, n: int, scale: float):
+    """``count`` vectors uniform in the n-ball of radius ``scale``, mostly near it."""
+    noise = rng.standard_normal((count, n))
+    noise *= scale * rng.random(count)[:, None] ** (1.0 / n) / np.linalg.norm(
         noise, axis=1, keepdims=True
     )
+    return noise
+
+
+def _check_half_lattice_bdd(code: BinaryBlockCode, rng):
+    count = 400
+    v = _half_lattice_points(code, rng, count, 4)
+    noise = _ball_noise(rng, count, code.n, 0.99 * math.sqrt(8) / 2)
     dec = lattices.bdd_half_lattice_batch(v + noise, code=code)
     if not np.array_equal(dec, v):
         bad = int((dec != v).any(axis=1).sum())
@@ -155,17 +166,10 @@ def _check_half_lattice_bdd(code: BinaryBlockCode, rng):
 
 def _check_leech_bdd(code: BinaryBlockCode, rng):
     count = 300
-    c = code.codebook[rng.integers(0, 1 << code.k, count)].astype(np.int64)
-    u = rng.integers(-3, 4, (count, code.n))
-    fix = (u.sum(axis=1) % 2).astype(bool)
-    u[fix, 0] += 1
-    h = c + 2 * u
+    h = _half_lattice_points(code, rng, count, 3)
     a = rng.integers(0, 2, count)
     lam = 2 * h + a[:, None] * lattices.XI
-    noise = rng.standard_normal((count, code.n))
-    noise *= (0.99 * 4 * math.sqrt(2) / 2) * rng.random(count)[:, None] / (
-        np.linalg.norm(noise, axis=1, keepdims=True)
-    )
+    noise = _ball_noise(rng, count, code.n, 0.99 * 4 * math.sqrt(2) / 2)
     cosets = (np.zeros(code.n, dtype=np.int64), lattices.XI)
     dec, _, which = lattices.decode_shifted_union_batch(
         lam + noise, cosets, code=code
@@ -188,25 +192,11 @@ def _check_shell_counts():
         got = shells.TdIndexer(n, h, l).count
         if got != want:
             return False, f"|TD{(n, h, l)}| = {got}, want {want}"
-    n, h, l = 5, 3, 4
-    brute = sum(
-        1
-        for p in itertools.product(range(h + 1), repeat=n)
-        if sum(p) % 2 == 0 and sum(p) <= 2 * l
-    )
-    if shells.TdIndexer(n, h, l).count != brute:
-        return False, f"DP disagrees with enumeration at {(n, h, l)}"
-    return True, "frozen counts and 5-dim enumeration agree"
+    return True, "frozen counts at three shapes"
 
 
-def _check_shell_bijection():
+def _check_shell_bijection(pts):
     idx = shells.TdIndexer(5, 3, 4)
-    pts = [
-        p
-        for p in itertools.product(range(4), repeat=5)
-        if sum(p) % 2 == 0 and sum(p) <= 8
-    ]
-    pts.sort(key=lambda p: (sum(p), p))
     if len(pts) != idx.count:
         return False, "cardinality mismatch"
     for i, p in enumerate(pts):
@@ -217,9 +207,8 @@ def _check_shell_bijection():
     return True, f"full bijection over {idx.count} points in canonical order"
 
 
-def _check_selection_stats():
+def _check_selection_stats(pts):
     idx = shells.TdIndexer(5, 3, 4)
-    pts = [tuple(idx.unrank(i)) for i in range(idx.count)]
     for m_s in (1, 7, 40, idx.count):
         sel = idx.selection(m_s)
         prefix = pts[:m_s]
@@ -251,12 +240,8 @@ def _check_sampler_uniformity(rng):
     return True, f"chi2 = {chi2:.1f} on 36 dof over 2e5 draws"
 
 
-def _check_feasibility():
-    for spec in (
-        build_oslc_spec(2, 0.2),
-        build_tcc_spec(2, 0.2),
-        build_cubic_spec(3, 0.3),
-    ):
+def _check_feasibility(specs):
+    for spec in specs:
         if spec.kappa * spec.peak_unscaled > 1:
             return False, f"{spec.kind}: peak constraint violated"
         if spec.kappa * spec.avg_l1_unscaled > spec.n * spec.alpha:
@@ -264,8 +249,7 @@ def _check_feasibility():
     return True, "exact rational peak and average constraints on three designs"
 
 
-def _check_map_roundtrip(rng):
-    specs = (build_oslc_spec(2, 0.2), build_tcc_spec(2, 0.2), build_cubic_spec(3, 0.3))
+def _check_map_roundtrip(specs, rng):
     for spec in specs:
         for _ in range(150):
             bits = rng.integers(0, 2, spec.bits_per_symbol)
@@ -277,8 +261,7 @@ def _check_map_roundtrip(rng):
     return True, "150 random words per design map and demap exactly"
 
 
-def _check_mapped_average(rng):
-    spec = build_oslc_spec(2, 0.2)
+def _check_mapped_average(spec, rng):
     total = np.zeros(20_000)
     for i in range(total.size):
         bits = rng.integers(0, 2, spec.bits_per_symbol)
@@ -354,6 +337,15 @@ def run_property_suite(code: BinaryBlockCode = GOLAY, seed: int = 0):
     corrupted generator to confirm the suite can fail.
     """
     rng = np.random.default_rng(seed)
+    # the designs the feasibility, round-trip and average checks share; a
+    # build draws nothing from ``rng``
+    specs = (build_oslc_spec(2, 0.2), build_tcc_spec(2, 0.2), build_cubic_spec(3, 0.3))
+    # TD(5, 3, 8) in canonical order by brute force, the shell checks' oracle
+    td_points = sorted(
+        (p for p in itertools.product(range(4), repeat=5)
+         if sum(p) % 2 == 0 and sum(p) <= 8),
+        key=lambda p: (sum(p), p),
+    )
     checks = [
         ("q_function_reference", _check_q_function_reference),
         ("simplex_volume_identities", _check_volume_identities),
@@ -366,12 +358,12 @@ def run_property_suite(code: BinaryBlockCode = GOLAY, seed: int = 0):
         ("half_lattice_bdd_certificate", lambda: _check_half_lattice_bdd(code, rng)),
         ("leech_bdd_certificate", lambda: _check_leech_bdd(code, rng)),
         ("shell_count_dp", _check_shell_counts),
-        ("shell_rank_bijection", _check_shell_bijection),
-        ("shell_selection_stats", _check_selection_stats),
+        ("shell_rank_bijection", lambda: _check_shell_bijection(td_points)),
+        ("shell_selection_stats", lambda: _check_selection_stats(td_points)),
         ("shell_sampler_uniformity", lambda: _check_sampler_uniformity(rng)),
-        ("constraint_feasibility_exact", _check_feasibility),
-        ("map_demap_roundtrip", lambda: _check_map_roundtrip(rng)),
-        ("mapped_average_3sigma", lambda: _check_mapped_average(rng)),
+        ("constraint_feasibility_exact", lambda: _check_feasibility(specs)),
+        ("map_demap_roundtrip", lambda: _check_map_roundtrip(specs, rng)),
+        ("mapped_average_3sigma", lambda: _check_mapped_average(specs[0], rng)),
         ("simulator_determinism", _check_simulator_determinism),
         ("indoor_geometry", _check_indoor_geometry),
         ("indoor_unit_audit", _check_indoor_units),

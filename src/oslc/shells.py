@@ -140,9 +140,13 @@ class TdIndexer:
         return np.array(out, dtype=np.int64)
 
     def rank(self, point) -> int:
-        pt = np.asarray(point, dtype=np.int64)
+        pt = np.asarray(point)
         if pt.shape != (self.n,):
             raise ValueError(f"expected a length-{self.n} point")
+        if pt.dtype.kind not in "iu":
+            if not ((pt >= 0) & (pt <= self.h) & (pt == np.floor(pt))).all():
+                raise ValueError("coordinates must be integers in [0, h]")
+            pt = pt.astype(np.int64)
         vals = pt.tolist()
         if min(vals) < 0 or max(vals) > self.h:
             raise ValueError("coordinate out of range")

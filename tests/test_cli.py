@@ -180,12 +180,29 @@ class TestIndoorCommand:
         ).read_text()
 
 
+VERIFY_CHECKS = [
+    "q_function_reference", "simplex_volume_identities", "shaping_solver_targets",
+    "rate_kernel_inverse", "golay_weight_enumerator", "golay_self_dual",
+    "code_hard_decoding", "dn_nearest_exhaustive", "half_lattice_bdd_certificate",
+    "leech_bdd_certificate", "shell_count_dp", "shell_rank_bijection",
+    "shell_selection_stats", "shell_sampler_uniformity", "constraint_feasibility_exact",
+    "map_demap_roundtrip", "mapped_average_3sigma", "simulator_determinism",
+    "indoor_geometry", "indoor_unit_audit",
+]
+
+
 class TestVerifyCommand:
+    """The home of the property suite in the tests: each check runs here, and
+    a failure names the check."""
+
     def test_clean_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
-        assert main(["verify", "--out", str(out)]) == 0
+        code = main(["verify", "--out", str(out)])
         report = json.loads(out.read_text())
-        assert report["n_checks"] >= 12
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+        assert code == 0
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+        assert report["n_checks"] == len(VERIFY_CHECKS)
         assert report["n_failed"] == 0
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("[PASS]") for line in lines) == report["n_checks"]
@@ -194,9 +211,10 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert main(["verify", "--corrupt-code", "--out", str(out)]) == 3
         report = json.loads(out.read_text())
-        assert report["n_failed"] >= 1
-        failed = [c["name"] for c in report["checks"] if not c["passed"]]
-        assert any("weight" in name for name in failed)
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert failed == {"golay_weight_enumerator", "golay_self_dual"}
+        assert report["n_failed"] == 2
 
 
 class TestUsageErrors:
@@ -227,6 +245,14 @@ class TestUsageErrors:
         argv = ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "14",
                 "--max-trials", "4096", "--out", str(tmp_path / "x.csv"), *flags]
         assert_usage_error(argv, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("command", ["shaping", "verify"])
+    def test_threads_is_not_an_option_of(self, tmp_path, command):
+        # only ser and indoor start worker processes
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", "2", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("beta", ["0", "9"])
     @pytest.mark.parametrize("command", ["ser", "indoor"])
@@ -318,6 +344,31 @@ class TestConfigFile:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"oslc: {key} must be an integer")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("command", "key", "value", "what"), [
+        ("ser", "alpha", None, "a number"),
+        ("indoor", "alpha", "0.2", "a number"),
+        ("indoor", "grid_step", None, "a number"),
+        ("indoor", "grid_step", True, "a number"),
+        ("ser", "osnr", 25, "a string"),
+        ("shaping", "n", 24, "a string"),
+        ("shaping", "alpha", 0.25, "a string"),
+        ("verify", "out", None, "a string"),
+    ])
+    def test_mistyped_option_exits_2(self, tmp_path, capsys, command, key, value, what):
+        # float() fails on null with a TypeError, and an axis or path that is
+        # not a string fails inside the axis parser or Path; out comes from the
+        # config here, so that it can be the mistyped key
+        out = tmp_path / "out.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scheme": "cubic", "beta": 2, "osnr": "15", "max_trials": 4096,
+            "positions": 2, "trials_per_pos": 10, "grid_step": 0.5,
+            "out": str(out), key: value,
+        }), encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"oslc: {key} must be {what}")
         assert not out.exists()
 
     def test_room_overrides_reach_the_survey(self, tmp_path):

@@ -23,15 +23,6 @@ class TestGolayStructure:
     def test_systematic_identity_block(self):
         assert np.array_equal(codes.GOLAY.generator[:, :12], np.eye(12, dtype=np.int64))
 
-    def test_weight_enumerator(self):
-        assert codes.GOLAY.weight_enumerator() == {
-            0: 1,
-            8: 759,
-            12: 2576,
-            16: 759,
-            24: 1,
-        }
-
     def test_self_dual(self):
         g = codes.GOLAY
         assert g.is_self_dual()
@@ -43,6 +34,10 @@ class TestGolayStructure:
         gen[1] = [1, 0, 1, 0]
         with pytest.raises(ValueError):
             codes.BinaryBlockCode(gen)
+        # independent rows, but not [I | B]: is_codeword would reject the
+        # codeword 1100, whose first two bits are not its message
+        with pytest.raises(ValueError, match="systematic"):
+            codes.BinaryBlockCode([[1, 1, 0, 0], [0, 1, 1, 0]])
 
 
 class TestEncoding:
