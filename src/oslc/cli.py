@@ -122,6 +122,20 @@ def _resolve_float(args, config: dict, key: str, default: float) -> float:
     return float(_resolve(args, config, key, default, (int, float), "a number"))
 
 
+def _resolve_design(args, config: dict) -> tuple[str, int, float, int, int]:
+    """Scheme, beta, alpha, seed and threads of a ``ser`` or ``indoor`` run."""
+    scheme = _resolve(args, config, "scheme", None, what=f"one of {SCHEMES}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return (
+        scheme,
+        _resolve_int(args, config, "beta", 5),
+        _resolve_float(args, config, "alpha", 0.2),
+        _resolve_int(args, config, "seed", 0),
+        _resolve_int(args, config, "threads", 1),
+    )
+
+
 def _room_from_config(config: dict) -> RoomConfig:
     try:
         overrides = dict(config.get("room", {}))
@@ -164,14 +178,8 @@ def _cmd_shaping(args, config, argv) -> int:
 def _cmd_ser(args, config, argv) -> int:
     started = time.perf_counter()
     out = Path(_resolve(args, config, "out", "ser.csv"))
-    scheme = _resolve(args, config, "scheme", None, what=f"one of {SCHEMES}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    beta = _resolve_int(args, config, "beta", 5)
-    alpha = _resolve_float(args, config, "alpha", 0.2)
+    scheme, beta, alpha, seed, threads = _resolve_design(args, config)
     grid = _parse_float_axis(_resolve(args, config, "osnr", "24:29:1"))
-    seed = _resolve_int(args, config, "seed", 0)
-    threads = _resolve_int(args, config, "threads", 1)
     spec = build_spec(scheme, beta, alpha)
     records = ser_sweep(
         spec,
@@ -209,13 +217,7 @@ def _cmd_ser(args, config, argv) -> int:
 def _cmd_indoor(args, config, argv) -> int:
     started = time.perf_counter()
     out = Path(_resolve(args, config, "out", "indoor.csv"))
-    scheme = _resolve(args, config, "scheme", None, what=f"one of {SCHEMES}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    beta = _resolve_int(args, config, "beta", 5)
-    alpha = _resolve_float(args, config, "alpha", 0.2)
-    seed = _resolve_int(args, config, "seed", 0)
-    threads = _resolve_int(args, config, "threads", 1)
+    scheme, beta, alpha, seed, threads = _resolve_design(args, config)
     positions = _resolve_int(args, config, "positions", 100)
     trials = _resolve_int(args, config, "trials_per_pos", 10_000)
     grid_step = _resolve_float(args, config, "grid_step", 0.25)
@@ -298,6 +300,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config",
                         help="JSON file of option defaults (flags win)")
 
+    # the design and worker options that ser and indoor share
+    design = argparse.ArgumentParser(add_help=False)
+    design.add_argument("--scheme", choices=SCHEMES)
+    design.add_argument("--beta", type=int, help="bits per dimension")
+    design.add_argument("--alpha", type=float, help="dimming ratio")
+    design.add_argument("--threads", type=int, help="worker processes (default 1)")
+
     parser = argparse.ArgumentParser(
         prog="oslc",
         description="Shaped lattice constellations for intensity channels: "
@@ -316,31 +325,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_shaping.set_defaults(func=_cmd_shaping)
 
     p_ser = sub.add_parser(
-        "ser", parents=[common],
+        "ser", parents=[common, design],
         help="Monte Carlo symbol error rates over an OSNR grid")
-    p_ser.add_argument("--scheme", choices=SCHEMES)
-    p_ser.add_argument("--beta", type=int, help="bits per dimension")
-    p_ser.add_argument("--alpha", type=float, help="dimming ratio")
     p_ser.add_argument("--osnr", help="grid in dB, e.g. 24:29:0.5 or 25,26")
     p_ser.add_argument("--target-errors", type=int, dest="target_errors")
     p_ser.add_argument("--max-trials", type=int, dest="max_trials")
     p_ser.add_argument("--batch-size", type=int, dest="batch_size")
-    p_ser.add_argument("--threads", type=int, help="worker processes (default 1)")
     p_ser.set_defaults(func=_cmd_ser)
 
     p_indoor = sub.add_parser(
-        "indoor", parents=[common],
+        "indoor", parents=[common, design],
         help="room OSNR heatmap and position-averaged error survey")
-    p_indoor.add_argument("--scheme", choices=SCHEMES)
-    p_indoor.add_argument("--beta", type=int, help="bits per dimension")
-    p_indoor.add_argument("--alpha", type=float, help="dimming ratio")
     p_indoor.add_argument("--positions", type=int,
                           help="random receiver positions (default 100)")
     p_indoor.add_argument("--trials-per-pos", type=int, dest="trials_per_pos",
                           help="symbols per position (default 10000)")
     p_indoor.add_argument("--grid-step", type=float, dest="grid_step",
                           help="heatmap spacing in meters (default 0.25)")
-    p_indoor.add_argument("--threads", type=int, help="worker processes (default 1)")
     p_indoor.set_defaults(func=_cmd_indoor)
 
     p_verify = sub.add_parser(

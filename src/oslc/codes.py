@@ -83,10 +83,15 @@ class BinaryBlockCode:
         return c[: self.k].copy()
 
     def is_codeword(self, word) -> bool:
-        w = np.asarray(word, dtype=np.uint8) % 2
+        """True when ``word`` is n entries, each exactly 0 or 1, forming a codeword.
+
+        The message bits index the codebook row to compare against; any entry
+        other than 0 or 1 differs from that row.
+        """
+        w = np.asarray(word)
         if w.shape != (self.n,):
             return False
-        return self.codebook[w[: self.k] @ self._place].tobytes() == w.tobytes()
+        return bool((self.codebook[w[: self.k].astype(bool) @ self._place] == w).all())
 
     def weight_enumerator(self) -> dict[int, int]:
         """Exhaustive weight distribution {weight: count} over all codewords."""

@@ -6,7 +6,12 @@ subclass each:
 
 * ``OslcSpec``, a coset-coded design layering an enumerative shaping
   alphabet, the extended Golay code, and a two-coset split of the Leech
-  lattice;
+  lattice: shaping point d, code word c and coset bit a give the point
+  4*d + 2*c + a*(5, 1, ..., 1), whose first coordinate is 8 lower when a = 1
+  and d[0] is odd, so that it stays nonnegative.  ``_coset_points`` and its
+  table ``_SHIFTS`` are the one place that rule is written; the demapper
+  inverts it and checks the result by mapping back, and the design
+  statistics follow from it;
 * ``TccSpec``, a shaping-only baseline drawing its points straight from the
   checkerboard lattice D24;
 * ``CubicSpec``, an unshaped cubic baseline (independent uniform levels per
@@ -30,8 +35,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .codes import GOLAY, BinaryBlockCode
-from .lattices import XI as XI_MINUS
-from .lattices import decode_shifted_union_batch, nearest_point_dn_batch
+from .lattices import XI, decode_shifted_union_batch, nearest_point_dn_batch
 from .shells import TdIndexer, TdParams, TdSampler, TdSelection
 
 __all__ = [
@@ -43,7 +47,6 @@ __all__ = [
     "SCHEMES",
     "TccSpec",
     "XI_PLUS",
-    "XI_MINUS",
     "build_cubic_spec",
     "build_oslc_spec",
     "build_spec",
@@ -51,8 +54,6 @@ __all__ = [
     "demap_point",
     "determine_params",
     "map_bits",
-    "spec_to_json",
-    "xi_tilde",
 ]
 
 # Minimum distances and kissing numbers of the two integer lattice copies in
@@ -63,37 +64,29 @@ LEECH_KISSING = 196560
 DN_MIN_DIST = math.sqrt(2.0)
 DN_KISSING = 2 * 24 * 23
 
-# The two translation vectors that keep coset points nonnegative.  XI_MINUS
-# is the Leech coset translation of ``lattices``; their difference
-# (8, 0, ..., 0) lies in twice the half lattice, so either choice lands in the
-# same Leech coset.
+# Translation of the odd Leech coset that keeps coset points nonnegative.  It
+# differs from ``lattices.XI`` by (8, 0, ..., 0), a point of twice the half
+# lattice, so both name the same coset.
 XI_PLUS = np.array([5] + [1] * 23, dtype=np.int64)
+
+# The translation added to 4*d + 2*c, by coset bit a (row) and the parity of
+# d[0] (column): none for a = 0, else XI_PLUS, or ``lattices.XI`` where d[0]
+# is odd, whose first coordinate 4*d[0] - 3 is still nonnegative.
+_SHIFTS = np.array([[0 * XI, 0 * XI], [XI_PLUS, XI]])
 
 
 class DemapError(ValueError):
     """Raised when a vector does not demap to any constellation label."""
 
 
-def xi_tilde(h: np.ndarray) -> np.ndarray:
-    """Nonnegativity-preserving translation for the half-lattice point ``h``.
-
-    Doubling h and adding either translation yields the same Leech coset; the
-    branch is picked from 2*h[0] mod 8 so that the sum stays coordinatewise
-    nonnegative over the shaped alphabet: XI_PLUS when it is 0 or 2, XI_MINUS
-    when it is 4 or 6.  A (B, n) array gets one translation per row.
-    """
-    h = np.asarray(h)
-    return np.where((2 * h[..., :1]) % 8 < 4, XI_PLUS, XI_MINUS)
-
-
 def _coset_points(d: np.ndarray, c: np.ndarray, a) -> np.ndarray:
-    """Transmitted points 4*d + 2*c + a * xi_tilde(2*d + c).
+    """Transmitted points 4*d + 2*c + a*XI_PLUS, the first coordinate 8 lower
+    where a = 1 and d[0] is odd (so it stays nonnegative).
 
     d is the shaping point, c the code word and a the coset bit; a single
     point or one per row of (B, n) arrays with a of shape (B,).
     """
-    h = 2 * d + c
-    return 2 * h + np.asarray(a)[..., None] * xi_tilde(h)
+    return 4 * d + 2 * c + _SHIFTS[a, d[..., 0] & 1]
 
 
 # Bits per dimension a design may be built at.  At beta = 0 the shaped
@@ -137,27 +130,22 @@ class AlphabetChoice:
 def _oslc_stats(sel: TdSelection, avg_code: Fraction) -> tuple[int, Fraction]:
     """Peak coordinate and exact mean coordinate sum of the full mapped set.
 
-    A transmitted point is 4*d + 2*c + a * xi_tilde, with d from the shaping
-    selection, c uniform over the code, and a a fair bit.  The peak scans the
-    four achievable extremes of the first coordinate (both translation
-    branches) and of the remaining coordinates; the mean splits into the three
-    independent layers, ``avg_code`` being the code layer's mean sum of 2*c.
+    A transmitted point is ``_coset_points(d, c, a)``, with d from the shaping
+    selection, c uniform over the code, and a a fair bit.  The first
+    coordinate peaks at 4*d[0] + 2 with a = 0, or at 4*d[0] + 7 with a = 1 and
+    d[0] even (with d[0] odd, a = 1 lowers it); the others peak at 4*d + 3.
+    The mean splits into the three independent layers, ``avg_code`` being the
+    code layer's mean sum of 2*c, and the coset layer's half the mean sum of
+    the ``_SHIFTS`` translation that d[0]'s parity picks.
     """
-    peak_candidates = [
+    peak = max(
         4 * sel.max_first() + 2,
         4 * sel.max_first(parity=0) + 7,
         4 * sel.max_rest_coord + 3,
-    ]
-    max_odd_first = sel.max_first(parity=1)
-    if max_odd_first >= 0:
-        peak_candidates.append(4 * max_odd_first - 1)
-    peak = max(peak_candidates)
-
-    avg_shift = Fraction(
-        sel.even_first_count * int(XI_PLUS.sum())
-        + sel.odd_first_count * int(XI_MINUS.sum()),
-        2 * sel.m_s,
     )
+    even_sum, odd_sum = (int(t) for t in _SHIFTS[1].sum(axis=1))
+    odd = sel.odd_first_count
+    avg_shift = Fraction(even_sum * (sel.m_s - odd) + odd_sum * odd, 2 * sel.m_s)
     return peak, 4 * sel.mean_l1 + avg_code + avg_shift
 
 
@@ -357,7 +345,7 @@ class OslcSpec(ConstellationSpec):
 
     def decode(self, w):
         est, _, _ = decode_shifted_union_batch(
-            w, (np.zeros(self.n, dtype=np.int64), XI_MINUS), code=self.code
+            w, (np.zeros(self.n, dtype=np.int64), XI), code=self.code
         )
         return est
 
@@ -367,27 +355,18 @@ class OslcSpec(ConstellationSpec):
         return _coset_points(d, c, int(bits[-1]))
 
     def _demap(self, lam):
+        # Invert _coset_points layer by layer, then map back: any vector the
+        # inverse does not reproduce lies off the lattice.
         a = int(lam[0]) & 1
-        even = lam - a
-        if (even & 1).any():
-            raise DemapError("mixed coordinate parities")
-        c = (even >> 1) & 1
-        if a == 0:
-            d4 = lam - 2 * c
-        else:
-            first = int(lam[0]) - 5  # assume the +5 translation branch, then repair
-            c[0] = (first % 4) // 2
-            d_first = (first - 2 * int(c[0])) // 4
-            if d_first % 2:
-                d_first += 2  # odd remainder means the -3 branch; parity now agrees
-            shift = XI_MINUS if d_first % 2 else XI_PLUS
-            d4 = lam - 2 * c - shift
-            d4[0] = 4 * d_first
-        if (d4 & 3).any():
-            raise DemapError("residue is not a doubled half-lattice point")
+        rest = lam - a * XI_PLUS
+        c = (rest >> 1) & 1
+        d = rest >> 2
+        d[0] += 2 * (a & d[0] & 1)
+        if not np.array_equal(_coset_points(d, c, a), lam):
+            raise DemapError("point is not on the coset-coded lattice")
         if not self.code.is_codeword(c):
             raise DemapError("code layer is not a codeword")
-        index = _alphabet_index(self, d4 >> 2, "shaping point")
+        index = _alphabet_index(self, d, "shaping point")
         return np.concatenate((_int_to_bits(index, self.k_s), self.code.message_of(c), [a]))
 
 
@@ -531,30 +510,3 @@ def demap_point(spec: ConstellationSpec, point) -> np.ndarray:
         lam = rounded
     return spec._demap(lam.astype(np.int64, copy=False))
 
-
-def spec_to_json(spec: ConstellationSpec) -> dict:
-    """JSON-ready summary of a built design (big integers as strings)."""
-    doc = {
-        "kind": spec.kind,
-        "n": spec.n,
-        "beta": spec.beta,
-        "bits_per_symbol": spec.bits_per_symbol,
-        "points": str(spec.size),
-        "alpha": str(spec.alpha),
-        "kappa": str(spec.kappa),
-        "kappa_float": float(spec.kappa),
-        "peak_unscaled": spec.peak_unscaled,
-        "avg_l1_unscaled": str(spec.avg_l1_unscaled),
-        "avg_l1_float": float(spec.avg_l1_unscaled),
-        "scaled_min_distance": spec.scaled_min_distance,
-        "bit_split": {"shaping": spec.k_s, "code": spec.k_c, "coset": spec.k_a},
-    }
-    if spec.kissing is not None:
-        doc["kissing"] = spec.kissing
-    if spec.td is not None:
-        doc["shaping_box"] = {
-            "h": spec.td.h,
-            "l": spec.td.l,
-            "m_s": str(spec.td.m_s),
-        }
-    return doc

@@ -49,20 +49,24 @@ XI = np.array([-3] + [1] * 23, dtype=np.int64)
 # -- membership predicates (exact integer tests) ---------------------------
 
 
+def _integral(v: np.ndarray) -> bool:
+    """Every entry of ``v`` is a finite integer."""
+    return bool(np.all(np.isfinite(v)) and np.all(v == np.round(v)))
+
+
 def in_dn(x) -> bool:
     v = np.asarray(x)
-    return bool(np.all(v == np.round(v)) and int(np.sum(v)) % 2 == 0)
+    return _integral(v) and int(np.sum(v)) % 2 == 0
 
 
 def in_construction_a(x, code: BinaryBlockCode = GOLAY) -> bool:
-    v = np.asarray(x, dtype=np.int64)
-    return code.is_codeword(v % 2)
+    v = np.asarray(x)
+    return _integral(v) and code.is_codeword(v % 2)
 
 
 def in_half_lattice(x, code: BinaryBlockCode = GOLAY) -> bool:
-    v = np.asarray(x, dtype=np.int64)
-    c = v % 2
-    return code.is_codeword(c) and int((v - c).sum() // 2) % 2 == 0
+    v = np.asarray(x)
+    return in_construction_a(v, code) and int((v - v % 2).sum() // 2) % 2 == 0
 
 
 # -- D_n --------------------------------------------------------------------

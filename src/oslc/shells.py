@@ -227,10 +227,6 @@ class TdSelection:
         return Fraction(self.sum_l1, self.m_s)
 
     @property
-    def even_first_count(self) -> int:
-        return sum(self.first_coord_counts[0::2])
-
-    @property
     def odd_first_count(self) -> int:
         return sum(self.first_coord_counts[1::2])
 

@@ -66,6 +66,19 @@ class TestEncoding:
         with pytest.raises(ValueError):
             codes.GOLAY.encode(np.zeros(11, dtype=np.int64))
 
+    @pytest.mark.parametrize("value", [3, -1, 0.7, np.nan])
+    def test_constant_non_bit_word_is_no_codeword(self, value):
+        # mod 2 after a uint8 cast reads 3 as 1 and 0.7 as 0: the all-ones
+        # and all-zeros codewords
+        assert not codes.GOLAY.is_codeword(np.full(24, value))
+
+    def test_only_exact_bits_form_a_codeword(self):
+        word = codes.GOLAY.codebook[1234].astype(np.int64)
+        assert codes.GOLAY.is_codeword(word)
+        assert codes.GOLAY.is_codeword(word.astype(np.float64))
+        assert not codes.GOLAY.is_codeword(word + 2)
+        assert not codes.GOLAY.is_codeword(word + 0.25)
+
 
 class TestSoftDecode:
     def test_all_favor_zero(self):

@@ -278,3 +278,15 @@ class TestMembershipPredicates:
         v = 2 * np.eye(24, dtype=np.int64)[0]  # in U_24, odd integer sum
         assert in_construction_a(v)
         assert not in_half_lattice(v)
+
+    @pytest.mark.parametrize("pred", [in_dn, in_construction_a, in_half_lattice])
+    @pytest.mark.parametrize("value", [0.5, np.nan, np.inf])
+    def test_non_integral_vector_is_no_member(self, pred, value):
+        # an int64 cast would read 0.5 as 0, the origin of every lattice
+        v = np.zeros(24)
+        assert pred(v)
+        v[:] = value
+        assert not pred(v)
+        v = 2.0 * XI
+        v[5] += 0.5
+        assert not pred(v)
