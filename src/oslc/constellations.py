@@ -265,12 +265,6 @@ class ConstellationSpec(ABC):
         return self.td.indexer() if self.td is not None else None
 
     @cached_property
-    def selection(self) -> TdSelection | None:
-        if self.td is None:
-            return None
-        return self.indexer.selection(self.td.m_s)
-
-    @cached_property
     def sampler(self) -> TdSampler | None:
         if self.td is None:
             return None

@@ -18,7 +18,7 @@ from numbers import Integral
 import numpy as np
 
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, _worker_pool, check_workers, simulate_ser
+from .simulate import SerRecord, _worker_pool, simulate_ser
 
 __all__ = [
     "LinkBudget",
@@ -295,8 +295,6 @@ def survey_ser(
     """
     if n_positions < 1 or trials_per_pos < 1:
         raise ValueError("need at least one position and one trial")
-    # Checked here too: positions without optical gain skip simulate_ser.
-    check_workers(batch_size, threads)
     root = np.random.SeedSequence(seed)
     pos_rng = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
     half = room.sample_halfwidth
@@ -306,7 +304,7 @@ def survey_ser(
     records = []
     osnrs = np.empty(n_positions)
     total_trials = total_errors = 0
-    with _worker_pool(spec, threads) as pool:
+    with _worker_pool(spec, threads, batch_size) as workers:
         for i in range(n_positions):
             budget = link_budget(room, positions[i], float(spec.alpha))
             osnrs[i] = budget.osnr_db
@@ -328,8 +326,7 @@ def survey_ser(
                     target_errors=None,
                     max_trials=trials_per_pos,
                     batch_size=batch_size,
-                    threads=threads,
-                    executor=pool,
+                    workers=workers,
                 )
             records.append(rec)
             total_trials += rec.trials

@@ -77,6 +77,19 @@ def _round_half_down(y: np.ndarray) -> np.ndarray:
     return np.ceil(y - 0.5)
 
 
+def _repair_parity(z: np.ndarray, y: np.ndarray, bad: np.ndarray, step: float) -> None:
+    """In each row flagged by ``bad``, move z by ``step`` toward y in the
+    coordinate with the largest residual y - z (smallest index on ties,
+    upward when that residual is exactly zero).  Updates z in place."""
+    if bad.any():
+        err = y[bad] - z[bad]
+        i = np.argmax(np.abs(err), axis=1)          # first max on ties
+        rows = np.arange(err.shape[0])
+        zb = z[bad]
+        zb[rows, i] += np.where(err[rows, i] >= 0.0, step, -step)
+        z[bad] = zb
+
+
 def nearest_point_dn_batch(y: np.ndarray) -> np.ndarray:
     """Exact closest checkerboard point for each row of y, shape (B, n).
 
@@ -89,15 +102,7 @@ def nearest_point_dn_batch(y: np.ndarray) -> np.ndarray:
     if y.ndim != 2 or y.shape[1] < 2:
         raise ValueError("expected vectors of dimension >= 2")
     z = _round_half_down(y)
-    odd = (z.sum(axis=1).astype(np.int64) & 1).astype(bool)
-    if odd.any():
-        err = y[odd] - z[odd]
-        i = np.argmax(np.abs(err), axis=1)          # first max on ties
-        rows = np.arange(err.shape[0])
-        step = np.where(err[rows, i] >= 0.0, 1.0, -1.0)
-        zf = z[odd]
-        zf[rows, i] += step
-        z[odd] = zf
+    _repair_parity(z, y, (z.sum(axis=1).astype(np.int64) & 1).astype(bool), 1.0)
     return z.astype(np.int64)
 
 
@@ -148,16 +153,7 @@ def bdd_half_lattice_batch(w: np.ndarray, code: BinaryBlockCode = GOLAY) -> np.n
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     u, idx = closest_point_construction_a_batch(w, code)
     bits = code.codebook[idx]
-    zsum = ((u - bits) // 2).sum(axis=1)
-    bad = (zsum & 1).astype(bool)
-    if bad.any():
-        err = w[bad] - u[bad]
-        i = np.argmax(np.abs(err), axis=1)
-        rows = np.arange(err.shape[0])
-        step = np.where(err[rows, i] >= 0.0, 2, -2).astype(np.int64)
-        uf = u[bad]
-        uf[rows, i] += step
-        u[bad] = uf
+    _repair_parity(u, w, (((u - bits) // 2).sum(axis=1) & 1).astype(bool), 2)
     return u
 
 

@@ -8,7 +8,11 @@ batch b draws all of its randomness from a Philox generator keyed by
 for any worker count.  Stopping (enough errors or the trial cap) is evaluated
 on the committed prefix only.
 
-At ``threads`` > 1 a sweep or survey opens one process pool for all of its
+One loop runs the batches of a point: it keeps at most ``window`` batches
+past the commit point and commits by waiting on the oldest.  ``_worker_pool``
+checks the worker knobs and yields ``(pool, window)``: ``(None, 1)`` at one
+worker, where each batch runs inline, and otherwise one process pool and a
+window of 2 * threads.  A sweep or survey opens it once for all of its
 operating points; each worker receives the spec once, when it starts, and a
 task is only (sigma, seed, batch_index, count).
 """
@@ -18,7 +22,8 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -32,7 +37,6 @@ from .lattices import nearest_point_dn_batch  # noqa: F401
 
 __all__ = [
     "SerRecord",
-    "check_workers",
     "cubic_ser_formula",
     "osnr_to_sigma",
     "q_function",
@@ -153,34 +157,32 @@ def _pool_init(spec: ConstellationSpec) -> None:
     _POOL_SPEC = spec
 
 
-def _pool_run(task: tuple[float, int, int, int]) -> tuple[int, int]:
-    sigma, seed, batch_index, count = task
-    return batch_index, _simulate_batch(_POOL_SPEC, sigma, seed, batch_index, count)
+def _pool_run(task: tuple[float, int, int, int]) -> int:
+    return _simulate_batch(_POOL_SPEC, *task)
 
 
 @contextmanager
-def _worker_pool(spec: ConstellationSpec, threads: int):
-    """A process pool for any number of operating points of ``spec``, or
-    None when ``threads``, capped at the CPUs this process may run on, is 1.
+def _worker_pool(spec: ConstellationSpec, threads: int, batch_size: int):
+    """Yield ``(pool, window)`` for any number of operating points of ``spec``.
 
-    Each worker receives ``spec`` once, through the pool initializer.
+    Rejects a batch size or worker count below 1 with ``ValueError`` and caps
+    ``threads`` at the CPUs this process may run on.  At one worker the pool
+    is None and the window 1; otherwise each of ``threads`` worker processes
+    receives ``spec`` once, through the pool initializer, and the window is
+    ``2 * threads`` batches.
     """
-    threads = min(threads, len(os.sched_getaffinity(0)))
-    if threads <= 1:
-        yield None
-        return
-    with ProcessPoolExecutor(
-        max_workers=threads, initializer=_pool_init, initargs=(spec,)
-    ) as pool:
-        yield pool
-
-
-def check_workers(batch_size: int, threads: int) -> None:
-    """Reject a batch size or worker count below 1 with ``ValueError``."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    threads = min(threads, len(os.sched_getaffinity(0)))
+    if threads == 1:
+        yield None, 1
+        return
+    with ProcessPoolExecutor(
+        max_workers=threads, initializer=_pool_init, initargs=(spec,)
+    ) as pool:
+        yield pool, 2 * threads
 
 
 def simulate_ser(
@@ -192,7 +194,7 @@ def simulate_ser(
     max_trials: int = 20_000_000,
     batch_size: int = 4096,
     threads: int = 1,
-    executor: Executor | None = None,
+    workers: tuple[Executor | None, int] | None = None,
 ) -> SerRecord:
     """Estimate the symbol error rate at one operating point.
 
@@ -201,12 +203,11 @@ def simulate_ser(
     sequence, and hence the returned counts, do not depend on ``threads``,
     which is capped at the number of CPUs this process may run on.
 
-    ``executor``, if given, runs the batches in place of a pool of this
-    call's own, with up to ``2 * threads`` of them in flight.  Its workers
-    must already hold ``spec``: ``ser_sweep`` and ``survey_ser`` pass the one
-    pool they open with ``_worker_pool(spec, threads)`` for all their points.
-    Batches still in flight when this point stops are dropped, so they never
-    count towards the next point.
+    ``workers``, if given, is a ``(pool, window)`` from
+    ``_worker_pool(spec, threads, batch_size)`` used in place of one of this
+    call's own: ``ser_sweep`` and ``survey_ser`` open one for all their
+    points.  Batches still in flight when this point stops are dropped, so
+    they never count towards the next point.
     """
     if not math.isfinite(osnr_db):
         raise ValueError(f"osnr_db must be finite, got {osnr_db}")
@@ -214,54 +215,28 @@ def simulate_ser(
         raise ValueError("target_errors must be positive (or None)")
     if max_trials < 1:
         raise ValueError("max_trials must be positive")
-    check_workers(batch_size, threads)
-    threads = min(threads, len(os.sched_getaffinity(0)))
     sigma = float(osnr_to_sigma(osnr_db))
 
-    def batch_count(index: int) -> int:
-        return min(batch_size, max_trials - index * batch_size)
-
-    def stopped(trials: int, errors: int) -> bool:
-        if target_errors is not None and errors >= target_errors:
-            return True
-        return trials >= max_trials
-
-    trials = errors = 0
-    pool_scope = (
-        _worker_pool(spec, threads) if executor is None else nullcontext(executor)
+    trials = errors = submitted = 0
+    ahead = deque()  # (count, error count or its future) past the commit point
+    scope = (
+        _worker_pool(spec, threads, batch_size) if workers is None else nullcontext(workers)
     )
-    with pool_scope as pool:
-        if pool is None:
-            index = 0
-            while not stopped(trials, errors):
-                count = batch_count(index)
-                errors += _simulate_batch(spec, sigma, seed, index, count)
-                trials += count
-                index += 1
-        else:
-            total_batches = -(-max_trials // batch_size)
-            window = 2 * threads
-            next_submit = next_commit = 0
-            running = set()
-            done: dict[int, int] = {}
-            while not stopped(trials, errors) and next_commit < total_batches:
-                while (
-                    next_submit < total_batches
-                    and len(running) + len(done) < window
-                ):
-                    task = (sigma, seed, next_submit, batch_count(next_submit))
-                    running.add(pool.submit(_pool_run, task))
-                    next_submit += 1
-                finished, running = wait(running, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    index, err = fut.result()
-                    done[index] = err
-                while next_commit in done and not stopped(trials, errors):
-                    errors += done.pop(next_commit)
-                    trials += batch_count(next_commit)
-                    next_commit += 1
-            for fut in running:
-                fut.cancel()
+    with scope as (pool, window):
+        while trials < max_trials and (target_errors is None or errors < target_errors):
+            while len(ahead) < window and submitted * batch_size < max_trials:
+                count = min(batch_size, max_trials - submitted * batch_size)
+                task = (sigma, seed, submitted, count)
+                if pool is None:
+                    ahead.append((count, _simulate_batch(spec, *task)))
+                else:
+                    ahead.append((count, pool.submit(_pool_run, task)))
+                submitted += 1
+            count, run = ahead.popleft()
+            errors += run if pool is None else run.result()
+            trials += count
+        for _, fut in ahead:
+            fut.cancel()
 
     ser = errors / trials
     lo, hi = wilson_interval(errors, trials)
@@ -296,8 +271,7 @@ def ser_sweep(
     """
     grid = [float(v) for v in np.atleast_1d(np.asarray(osnr_grid, dtype=np.float64))]
     child_seeds = np.random.SeedSequence(seed).generate_state(len(grid), np.uint64)
-    check_workers(batch_size, threads)
-    with _worker_pool(spec, threads) as pool:
+    with _worker_pool(spec, threads, batch_size) as workers:
         records = [
             simulate_ser(
                 spec,
@@ -306,8 +280,7 @@ def ser_sweep(
                 target_errors=target_errors,
                 max_trials=max_trials,
                 batch_size=batch_size,
-                threads=threads,
-                executor=pool,
+                workers=workers,
             )
             for osnr, child in zip(grid, child_seeds)
         ]

@@ -221,7 +221,7 @@ def test_rank_unrank_match_dict_cache_walk(kind, beta):
     idx, m_s = spec.indexer, spec.td.m_s
     ref = DictCacheWalk(idx)
     rng = random.Random(beta)
-    first_in_boundary_shell = idx.shell_cum[spec.selection.s_star // 2 - 1]
+    first_in_boundary_shell = idx.shell_cum[idx.selection(m_s).s_star // 2 - 1]
     picks = [0, 1, 2, m_s - 2, m_s - 1, first_in_boundary_shell - 1, first_in_boundary_shell]
     picks += [rng.randrange(m_s) for _ in range(150)]
     for i in picks:

@@ -170,6 +170,29 @@ class TestSimulateSer:
             )
             assert one == three
 
+    def test_run_ahead_is_bounded_by_the_window(self, cubic_b4, inline_pools, monkeypatch):
+        # the inline pool runs a batch when it is submitted; a point that
+        # stops early on its error target has run batches past its commit
+        # point, but never more than the window, 2 * 3 workers, counted from
+        # the last batch it committed
+        submitted = []
+        run = sim._pool_run
+
+        def counting_run(task):
+            submitted.append(task[2])
+            return run(task)
+
+        monkeypatch.setattr(sim, "_pool_run", counting_run)
+        rec = sim.simulate_ser(
+            cubic_b4, 22.0, seed=13, target_errors=25,
+            max_trials=40960, batch_size=256, threads=64,
+        )
+        assert inline_pools == [3]
+        assert rec.errors >= 25 and rec.trials < 40960
+        committed = rec.trials // 256
+        assert submitted == list(range(len(submitted)))
+        assert committed < len(submitted) <= committed - 1 + 2 * 3
+
     def test_rejects_bad_trial_budget(self, cubic_b2):
         with pytest.raises(ValueError):
             sim.simulate_ser(cubic_b2, 20.0, max_trials=0)
