@@ -149,10 +149,27 @@ def _oslc_stats(sel: TdSelection, avg_code: Fraction) -> tuple[int, Fraction]:
     return peak, 4 * sel.mean_l1 + avg_code + avg_shift
 
 
+def _oslc_peak_floor(rest: int) -> int:
+    """Least peak ``_oslc_stats`` reports for a selection whose
+    max_rest_coord is at least ``rest``: that coordinate maps to 4*rest + 3."""
+    return 4 * rest + 3
+
+
 def _even_sum_count(n: int, h: int) -> int:
     """Points of {0..h}^n with even coordinate sum: ((h+1)^n + [h even]) / 2,
     since sum over the box of (-1)^sum(d) is (sum_v (-1)^v)^n = [h even]."""
     return ((h + 1) ** n + (h % 2 == 0)) // 2
+
+
+def _unbounded_boundary_shell(n: int, m_s: int) -> int:
+    """s_inf: the boundary shell of the m_s lowest-sum points of the
+    unbounded even-sum set in N^n, the smallest even s with
+    sum over even t <= s of C(t + n - 1, n - 1) >= m_s."""
+    s, total = 0, 1
+    while total < m_s:
+        s += 2
+        total += math.comb(s + n - 1, n - 1)
+    return s
 
 
 def determine_params(
@@ -160,17 +177,27 @@ def determine_params(
     m_s: int,
     alpha,
     stats: Callable[[TdSelection], tuple[int, Fraction]],
+    peak_floor: Callable[[int], int],
 ) -> AlphabetChoice:
     """Scan box heights and keep the one maximizing the admissible gain.
 
     ``stats`` maps a shaping selection to the peak coordinate and exact mean
-    coordinate sum of the design's unscaled point set.  For each height H the
-    alphabet is the m_s lowest-sum points in canonical order, L is set by the
-    boundary shell, and kappa(H) is the reciprocal of the binding constraint
-    (peak, or mean divided by n*alpha).  The peak term never decreases in H
-    while the mean term never increases, so the scan can stop a few steps
-    after the two cross; six extra steps cover the small wobble the
-    translation layer adds to the peak.  Ties keep the smaller H.
+    coordinate sum of the design's unscaled point set, and ``peak_floor`` is
+    the design's lower bound on that peak in terms of the selection's
+    ``max_rest_coord``, nondecreasing.  For each height H the alphabet is the
+    m_s lowest-sum points in canonical order, L is set by the boundary shell,
+    and kappa(H) is the reciprocal of the binding constraint (peak, or mean
+    divided by n*alpha).  Ties keep the smaller H.
+
+    The scan goes up to six steps past the height where the peak term first
+    reaches the mean term (or the box stops binding), and returns earlier,
+    after height h, once peak_floor(min(h + 1, s_inf)) * kappa_best >= 1.
+    That stop leaves the result unchanged.  For n >= 2 a taller box H' has
+    max_rest_coord = min(H', s_star(H')) >= min(h + 1, s_inf), because a box
+    only removes points from each shell, so s_star(H') >= s_inf
+    (``_unbounded_boundary_shell``).  Hence kappa(H') <= 1 / peak(H') <=
+    1 / peak_floor(min(h + 1, s_inf)) <= kappa_best, and no taller box wins.
+    At n = 1, max_rest_coord is 0, so the floor is taken at 0.
 
     Heights whose whole box holds fewer than m_s even-sum points are skipped
     by their closed-form count.  A taller box only adds points to every
@@ -178,6 +205,7 @@ def determine_params(
     the first is indexed only up to the previous height's boundary shell.
     """
     alpha = _as_fraction(alpha)
+    s_inf = _unbounded_boundary_shell(n, m_s)
     best: AlphabetChoice | None = None
     crossing = None
     h = 1
@@ -192,6 +220,8 @@ def determine_params(
         if best is None or kappa > best.kappa:
             params = TdParams(n, h, sel.s_star // 2, m_s)
             best = AlphabetChoice(params, kappa, peak, avg)
+        if peak_floor(min(h + 1, s_inf) if n > 1 else 0) * best.kappa >= 1:
+            return best
         saturated = h >= sel.s_star  # box constraint no longer active
         if crossing is None and (peak >= bound or saturated):
             crossing = h
@@ -316,7 +346,9 @@ class OslcSpec(ConstellationSpec):
         k_s = n * beta - k_c - k_a
         total_ones = sum(w * count for w, count in code.weight_enumerator().items())
         avg_code = Fraction(2 * total_ones, 2 ** code.k)
-        choice = determine_params(n, 1 << k_s, alpha, partial(_oslc_stats, avg_code=avg_code))
+        choice = determine_params(
+            n, 1 << k_s, alpha, partial(_oslc_stats, avg_code=avg_code), _oslc_peak_floor
+        )
         return cls(
             n=n,
             beta=beta,
@@ -379,7 +411,7 @@ class TccSpec(ConstellationSpec):
         n = 24
         k_s = n * beta
         choice = determine_params(
-            n, 1 << k_s, alpha, lambda sel: (sel.max_coord, sel.mean_l1)
+            n, 1 << k_s, alpha, lambda sel: (sel.max_coord, sel.mean_l1), lambda rest: rest
         )
         return cls(
             n=n,

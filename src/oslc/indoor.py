@@ -102,11 +102,11 @@ class RoomConfig:
         if self.pd_height >= self.lamp_height:
             raise ValueError("pd_height must be below lamp_height")
 
-    @property
+    @cached_property
     def lambert_order(self) -> float:
         return -math.log(2.0) / math.log(math.cos(math.radians(self.semi_angle_deg)))
 
-    @property
+    @cached_property
     def concentrator_gain(self) -> float:
         return self.refractive_index ** 2 / math.sin(math.radians(self.fov_deg)) ** 2
 

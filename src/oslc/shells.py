@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 
 import numpy as np
 
@@ -61,14 +62,13 @@ def _composition_table(n: int, h: int, smax: int) -> tuple[tuple[int, ...], ...]
     Row m is a windowed sum of row m - 1,
         N[m][s] = pre[s] - pre[s-h-1],   pre = prefix sums of N[m-1],
     and N[m][s] reads no column of row m - 1 beyond s, so cutting every row
-    at smax leaves the kept entries exact.
+    at smax leaves the kept entries exact.  The differences for s > h run
+    in ``map``, which stops at the shorter slice (none when h >= smax).
     """
     rows = [tuple([1] + [0] * smax)]
     for _ in range(n):
         pre = list(accumulate(rows[-1]))
-        rows.append(tuple(pre[:h + 1]) + tuple(
-            pre[s] - pre[s - h - 1] for s in range(h + 1, smax + 1)
-        ))
+        rows.append(tuple(pre[:h + 1]) + tuple(map(sub, pre[h + 1:], pre[:smax - h])))
     return tuple(rows)
 
 

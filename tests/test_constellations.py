@@ -475,30 +475,40 @@ class TestDispatchAndExport:
             con.build_spec(kind, beta, 0.2)
 
 
-def reference_determine_params(n, m_s, alpha, stats):
-    """The height scan on full-width indexers from H = 1: every height's
-    alphabet is found in the whole box TD(n, H, n*H)."""
-    alpha = con._as_fraction(alpha)
-    best = crossing = None
+def reference_scan(n, m_s, alpha, stats):
+    """The height scan on full-width indexers from H = 1, every height's
+    alphabet found in the whole box TD(n, H, n*H), up to six steps past the
+    crossing: (h, peak, mean, max_rest_coord, s_star) for each height visited."""
+    visited, crossing = [], None
     h = 1
-    while True:
+    while crossing is None or h <= crossing + 6:
         full = TdIndexer(n, h, (n * h) // 2)
         if full.count >= m_s:
             sel = full.selection(m_s)
             peak, avg = stats(sel)
-            bound = avg / (n * alpha)
-            kappa = 1 / max(Fraction(peak), bound)
-            if best is None or kappa > best.kappa:
-                best = con.AlphabetChoice(TdParams(n, h, sel.s_star // 2, m_s), kappa, peak, avg)
-            if crossing is None and (peak >= bound or h >= sel.s_star):
+            visited.append((h, peak, avg, sel.max_rest_coord, sel.s_star))
+            if crossing is None and (peak >= avg / (n * alpha) or h >= sel.s_star):
                 crossing = h
-            if crossing is not None and h >= crossing + 6:
-                return best
         h += 1
+    return visited
+
+
+def reference_determine_params(n, m_s, alpha, stats):
+    """The alphabet of largest kappa over ``reference_scan``, ties to the smaller H."""
+    best = None
+    for h, peak, avg, _, s_star in reference_scan(n, m_s, alpha, stats):
+        kappa = 1 / max(Fraction(peak), avg / (n * alpha))
+        if best is None or kappa > best.kappa:
+            best = con.AlphabetChoice(TdParams(n, h, s_star // 2, m_s), kappa, peak, avg)
+    return best
 
 
 def _tcc_stats(sel):
     return sel.max_coord, sel.mean_l1
+
+
+def _tcc_floor(rest):
+    return rest
 
 
 _GOLAY_LAYER_MEAN = Fraction(
@@ -510,21 +520,57 @@ def _oslc_stats(sel):
     return con._oslc_stats(sel, avg_code=_GOLAY_LAYER_MEAN)
 
 
+_SCAN_ALPHAS = (Fraction(1, 20), Fraction(1, 5), Fraction(3, 10), Fraction(9, 20), Fraction(49, 100))
+
+
+def _scan_sizes(n):
+    """Alphabet sizes the scan tests run at n; at n = 24 also those of the
+    oslc design, 2**(24*beta - 13) for beta = 2..5."""
+    sizes = {2, 3, 2**n - 1, 2**n + 1, 3**n, 2 ** (2 * n) + 5, 2 ** min(5 * n, 120)}
+    if n == 24:
+        sizes |= {2 ** (24 * beta - 13) for beta in range(2, 6)}
+    return sorted(sizes)
+
+
 class TestHeightScan:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_even_sum_count_closed_form(self, n):
         for h in range(7):
             assert con._even_sum_count(n, h) == TdIndexer(n, h, (n * h) // 2).count
 
-    @pytest.mark.parametrize("stats", ["tcc", "oslc"])
+    @pytest.mark.parametrize("design", ["tcc", "oslc"])
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24])
-    def test_matches_full_width_scan(self, n, stats):
-        # The fast scan skips heights by their closed-form count and caps
-        # each later indexer at the previous boundary shell; it must pick
-        # the same alphabet as the full-width scan.
-        fn = _tcc_stats if stats == "tcc" else _oslc_stats
-        sizes = sorted({2, 3, 2**n - 1, 2**n + 1, 3**n, 2 ** (2 * n) + 5, 2 ** min(5 * n, 120)})
-        for m_s in sizes:
-            for alpha in (Fraction(1, 20), Fraction(1, 5), Fraction(3, 10), Fraction(9, 20)):
-                assert con.determine_params(n, m_s, alpha, fn) == \
-                    reference_determine_params(n, m_s, alpha, fn), (m_s, alpha)
+    def test_matches_full_width_scan(self, n, design):
+        # The fast scan skips heights by their closed-form count, caps each
+        # later indexer at the previous boundary shell and stops once no
+        # taller box can win; it must pick the same alphabet as the
+        # full-width scan.
+        stats, floor = (_tcc_stats, _tcc_floor) if design == "tcc" else \
+            (_oslc_stats, con._oslc_peak_floor)
+        for m_s in _scan_sizes(n):
+            for alpha in _SCAN_ALPHAS:
+                assert con.determine_params(n, m_s, alpha, stats, floor) == \
+                    reference_determine_params(n, m_s, alpha, stats), (m_s, alpha)
+
+    def test_taller_boxes_reach_the_peak_floor(self, monkeypatch):
+        # The early stop after height h rests on every taller box H' having
+        # max_rest_coord >= min(h + 1, s_inf), hence peak(H') >=
+        # floor(min(h + 1, s_inf)), where s_inf is the boundary shell of a
+        # box that does not bind.
+        for n in (2, 5, 24):
+            for m_s in _scan_sizes(n):
+                s_inf = con._unbounded_boundary_shell(n, m_s)
+                assert TdIndexer(n, s_inf, s_inf // 2).selection(m_s).s_star == s_inf, (n, m_s)
+                for stats, floor in ((_tcc_stats, _tcc_floor), (_oslc_stats, con._oslc_peak_floor)):
+                    for alpha in _SCAN_ALPHAS:
+                        visited = reference_scan(n, m_s, alpha, stats)
+                        for i, (h, *_) in enumerate(visited):
+                            least = min(h + 1, s_inf)
+                            for taller, peak, _, rest, _ in visited[i + 1:]:
+                                assert rest >= least and peak >= floor(least), \
+                                    (n, m_s, alpha, h, taller)
+        heights = []
+        indexer = con.TdIndexer
+        monkeypatch.setattr(con, "TdIndexer", lambda *a: heights.append(a[1]) or indexer(*a))
+        con.build_tcc_spec(5, Fraction(1, 5))
+        assert len(heights) == 31
