@@ -35,6 +35,21 @@ from .simulate import ser_sweep
 __all__ = ["main"]
 
 
+# Most points an axis may have; a range is counted before its list is built.
+_MAX_AXIS_POINTS = 1000
+
+# Dimensions ``shaping`` tabulates: above n = 40 its sums run in exact
+# rationals at a cost of about n**3, seconds per alpha at n = 128.
+_SHAPING_DIMS = range(1, 129)
+
+
+def _axis_length(steps, text: str) -> int:
+    """1 + ``steps`` rounded, or ValueError above _MAX_AXIS_POINTS or at inf/nan."""
+    if not steps < _MAX_AXIS_POINTS - 0.5:
+        raise ValueError(f"axis {text!r} has more than {_MAX_AXIS_POINTS} points")
+    return round(steps) + 1
+
+
 def _parse_int_axis(text: str) -> list[int]:
     """Parse "24", "2,5,9", or an inclusive range "2:32"."""
     text = text.strip()
@@ -46,7 +61,9 @@ def _parse_int_axis(text: str) -> list[int]:
         step = int(parts[2]) if len(parts) == 3 else 1
         if step <= 0 or stop < start:
             raise ValueError(f"bad integer range {text!r}")
+        _axis_length((stop - start) // step, text)
         return list(range(start, stop + 1, step))
+    _axis_length(text.count(","), text)
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -58,10 +75,11 @@ def _parse_float_axis(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"float ranges need start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and start <= stop):
             raise ValueError(f"bad float range {text!r}")
-        count = int(round((stop - start) / step)) + 1
+        count = _axis_length((stop - start) / step, text)
         return [round(start + i * step, 10) for i in range(count)]
+    _axis_length(text.count(","), text)
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -150,6 +168,9 @@ def _cmd_shaping(args, config, argv) -> int:
     started = time.perf_counter()
     out = Path(_resolve(args, config, "out", "shaping.csv"))
     dims = _parse_int_axis(_resolve(args, config, "n", "2:32"))
+    for n in dims:
+        if n not in _SHAPING_DIMS:
+            raise ValueError(f"n must lie in 1..{_SHAPING_DIMS[-1]}, got {n}")
     alphas = _parse_float_axis(_resolve(args, config, "alpha", "0.2,0.3"))
     seed = _resolve_int(args, config, "seed", 0)
     rows = []

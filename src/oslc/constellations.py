@@ -161,17 +161,6 @@ def _even_sum_count(n: int, h: int) -> int:
     return ((h + 1) ** n + (h % 2 == 0)) // 2
 
 
-def _unbounded_boundary_shell(n: int, m_s: int) -> int:
-    """s_inf: the boundary shell of the m_s lowest-sum points of the
-    unbounded even-sum set in N^n, the smallest even s with
-    sum over even t <= s of C(t + n - 1, n - 1) >= m_s."""
-    s, total = 0, 1
-    while total < m_s:
-        s += 2
-        total += math.comb(s + n - 1, n - 1)
-    return s
-
-
 def determine_params(
     n: int,
     m_s: int,
@@ -185,29 +174,29 @@ def determine_params(
     coordinate sum of the design's unscaled point set, and ``peak_floor`` is
     the design's lower bound on that peak in terms of the selection's
     ``max_rest_coord``, nondecreasing.  For each height H the alphabet is the
-    m_s lowest-sum points in canonical order, L is set by the boundary shell,
-    and kappa(H) is the reciprocal of the binding constraint (peak, or mean
-    divided by n*alpha).  Ties keep the smaller H.
+    m_s >= 2 lowest-sum points in canonical order, L is set by the boundary
+    shell, and kappa(H) is the reciprocal of the binding constraint (peak, or
+    mean divided by n*alpha).  Ties keep the smaller H.
 
-    The scan goes up to six steps past the height where the peak term first
-    reaches the mean term (or the box stops binding), and returns earlier,
-    after height h, once peak_floor(min(h + 1, s_inf)) * kappa_best >= 1.
-    That stop leaves the result unchanged.  For n >= 2 a taller box H' has
-    max_rest_coord = min(H', s_star(H')) >= min(h + 1, s_inf), because a box
-    only removes points from each shell, so s_star(H') >= s_inf
-    (``_unbounded_boundary_shell``).  Hence kappa(H') <= 1 / peak(H') <=
-    1 / peak_floor(min(h + 1, s_inf)) <= kappa_best, and no taller box wins.
-    At n = 1, max_rest_coord is 0, so the floor is taken at 0.
+    The scan starts at the first height whose box holds m_s even-sum points
+    (a closed-form count) and indexes each later height only up to the
+    previous boundary shell, which never rises with H.  After height h it
+    returns by the first of two exact rules that holds:
 
-    Heights whose whole box holds fewer than m_s even-sum points are skipped
-    by their closed-form count.  A taller box only adds points to every
-    shell, so the boundary shell never rises with H, and each height after
-    the first is indexed only up to the previous height's boundary shell.
+    1. h >= s_star(h): the box no longer binds, so every taller box selects
+       the same points.  At n = 1 this holds at the first height.
+    2. peak_floor(h + 1) * kappa_best >= 1.  Here h < s_star(h), so s_inf,
+       the boundary shell of an unbounded box, is at least h + 1: were
+       s_inf <= h, the box of height h would hold every point of sum
+       <= s_inf, and s_star(h) would be s_inf <= h.  A box only removes
+       points from each shell, so a taller box H' has max_rest_coord =
+       min(H', s_star(H')) >= h + 1, and kappa(H') <= 1 / peak_floor(h + 1)
+       <= kappa_best.
     """
     alpha = _as_fraction(alpha)
-    s_inf = _unbounded_boundary_shell(n, m_s)
+    if m_s < 2:
+        raise ValueError(f"the shaping alphabet needs at least 2 points, got {m_s}")
     best: AlphabetChoice | None = None
-    crossing = None
     h = 1
     while _even_sum_count(n, h) < m_s:
         h += 1
@@ -215,17 +204,11 @@ def determine_params(
     while True:
         sel = TdIndexer(n, h, l).selection(m_s)
         peak, avg = stats(sel)
-        bound = avg / (n * alpha)
-        kappa = 1 / max(Fraction(peak), bound)
+        kappa = 1 / max(Fraction(peak), avg / (n * alpha))
         if best is None or kappa > best.kappa:
             params = TdParams(n, h, sel.s_star // 2, m_s)
             best = AlphabetChoice(params, kappa, peak, avg)
-        if peak_floor(min(h + 1, s_inf) if n > 1 else 0) * best.kappa >= 1:
-            return best
-        saturated = h >= sel.s_star  # box constraint no longer active
-        if crossing is None and (peak >= bound or saturated):
-            crossing = h
-        if crossing is not None and h >= crossing + 6:
+        if h >= sel.s_star or peak_floor(h + 1) * best.kappa >= 1:
             return best
         l = sel.s_star // 2
         h += 1

@@ -275,6 +275,9 @@ class SerSurvey:
     ser: float
 
 
+_MAX_POSITIONS = 100_000  # positions and their seeds are drawn up front
+
+
 def survey_ser(
     room: RoomConfig,
     spec: ConstellationSpec,
@@ -293,8 +296,8 @@ def survey_ser(
     signal at all, so its trials are all counted as errors.  At
     ``threads`` > 1 every position runs in one shared worker pool.
     """
-    if n_positions < 1 or trials_per_pos < 1:
-        raise ValueError("need at least one position and one trial")
+    if not (1 <= n_positions <= _MAX_POSITIONS and trials_per_pos >= 1):
+        raise ValueError(f"need 1..{_MAX_POSITIONS} positions and at least one trial")
     root = np.random.SeedSequence(seed)
     pos_rng = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
     half = room.sample_halfwidth

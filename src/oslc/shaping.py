@@ -11,9 +11,9 @@ asymptotics:
     l1-norm of T_n(t) (alternating-sum formulas).
   * solve_t_star: the exact optimum (closed form for alpha <= 1/(n+1),
     otherwise a bisection on the mean constraint).
-  * solve_mu_star / t_star_approx / second_order_sg_db: the exponential-
-    family surrogate mu*, the O(1/n) expansion of t*, and the second-order
-    gain expansion.
+  * solve_mu_star / second_order_sg_db: the exponential-family surrogate
+    mu* and the second-order gain expansion; solve_t_star also reports the
+    O(1/n) expansion of t*, n*alpha + 1/mu*.
   * irwin_hall_tail / ld_tail_approx: exact tail of a mean of n i.i.d.
     uniforms and its saddlepoint-style approximation.
 
@@ -34,7 +34,6 @@ __all__ = [
     "avg_first_moment",
     "solve_t_star",
     "solve_mu_star",
-    "t_star_approx",
     "h_max",
     "second_order_sg_db",
     "quadrature_sg_db",
@@ -211,12 +210,6 @@ def solve_mu_star(alpha: float) -> float:
     """
     _check_alpha(alpha)
     return solve_s_x(1.0 - alpha)
-
-
-def t_star_approx(n: int, alpha: float) -> float:
-    """First-order expansion of the optimal truncation: n*alpha + 1/mu*."""
-    _check_dim(n)
-    return n * alpha + 1.0 / solve_mu_star(alpha)
 
 
 def solve_t_star(n: int, alpha: float) -> ShapingSolution:

@@ -41,7 +41,6 @@ __all__ = [
     "osnr_to_sigma",
     "q_function",
     "ser_sweep",
-    "sigma_to_osnr",
     "simulate_ser",
     "union_bound_ser",
     "wilson_interval",
@@ -61,10 +60,6 @@ def q_function(x):
 
 def osnr_to_sigma(osnr_db):
     return 10.0 ** (-np.asarray(osnr_db, dtype=np.float64) / 10.0)
-
-
-def sigma_to_osnr(sigma):
-    return -10.0 * np.log10(np.asarray(sigma, dtype=np.float64))
 
 
 def union_bound_ser(spec: ConstellationSpec, osnr_db):
@@ -161,18 +156,22 @@ def _pool_run(task: tuple[float, int, int, int]) -> int:
     return _simulate_batch(_POOL_SPEC, *task)
 
 
+# Largest batch: its (batch, 24) draws and noise, 13 MB each, are allocated whole.
+_MAX_BATCH_SIZE = 65_536
+
+
 @contextmanager
 def _worker_pool(spec: ConstellationSpec, threads: int, batch_size: int):
     """Yield ``(pool, window)`` for any number of operating points of ``spec``.
 
-    Rejects a batch size or worker count below 1 with ``ValueError`` and caps
-    ``threads`` at the CPUs this process may run on.  At one worker the pool
-    is None and the window 1; otherwise each of ``threads`` worker processes
-    receives ``spec`` once, through the pool initializer, and the window is
-    ``2 * threads`` batches.
+    Rejects a batch size outside 1.._MAX_BATCH_SIZE or a worker count below 1
+    with ``ValueError`` and caps ``threads`` at the CPUs this process may run
+    on.  At one worker the pool is None and the window 1; otherwise each of
+    ``threads`` worker processes receives ``spec`` once, through the pool
+    initializer, and the window is ``2 * threads`` batches.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
+    if not 1 <= batch_size <= _MAX_BATCH_SIZE:
+        raise ValueError(f"batch_size must be in 1..{_MAX_BATCH_SIZE}, got {batch_size}")
     if threads < 1:
         raise ValueError("threads must be at least 1")
     threads = min(threads, len(os.sched_getaffinity(0)))

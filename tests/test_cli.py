@@ -238,13 +238,54 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--batch-size", "0"), ("--target-errors", "0"), ("--osnr", "nan"),
-         ("--threads", "0")],
+        [("ser", "--batch-size", "0"), ("ser", "--target-errors", "0"),
+         ("ser", "--osnr", "nan"), ("ser", "--threads", "0"),
+         # sizes that would be allocated whole before the first trial
+         ("ser", "--max-trials", "1000000000000", "--batch-size", "1000000000000"),
+         ("indoor", "--positions", "1000000000000")],
     )
     def test_bad_run_budget_exits_2(self, tmp_path, flags):
-        argv = ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "14",
-                "--max-trials", "4096", "--out", str(tmp_path / "x.csv"), *flags]
+        command, *flags = flags
+        budget = {
+            "ser": ("--osnr", "14", "--max-trials", "4096"),
+            "indoor": ("--positions", "1", "--trials-per-pos", "10", "--grid-step", "1.0"),
+        }
+        argv = [command, "--scheme", "cubic", "--beta", "2", *budget[command],
+                "--out", str(tmp_path / "x.csv"), *flags]
         assert_usage_error(argv, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("argv", [
+        ["shaping", "--n", "1000", "--alpha", "0.3"],
+        ["shaping", "--n", "0,8"],
+        ["shaping", "--n", "2:1002"],
+        ["shaping", "--alpha", "0.001:0.4:0.0001"],
+        ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "0:1000:1"],
+        ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "24:inf:1"],
+    ])
+    def test_oversized_axis_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # Stubs stand in for the solves: an axis is checked before any runs.
+        calls = []
+        monkeypatch.setattr(cli, "solve_t_star", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "ser_sweep", lambda *a, **k: calls.append(a))
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("oslc: ")
+        assert not calls and not out.exists()
+
+    def test_axes_at_their_bounds_run(self, tmp_path, monkeypatch):
+        solved = []
+        monkeypatch.setattr(
+            cli, "solve_t_star",
+            lambda n, alpha: solved.append(n) or shaping.ShapingSolution(n, alpha, *[0.0] * 6),
+        )
+        monkeypatch.setattr(
+            cli, "ser_sweep", lambda spec, grid, **k: solved.append(len(grid)) or []
+        )
+        assert main(["shaping", "--n", "1,128", "--alpha", "0.2",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "0:999:1",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        assert solved == [1, 128, 1000]
 
     @pytest.mark.parametrize("command", ["shaping", "verify"])
     def test_threads_is_not_an_option_of(self, tmp_path, command):

@@ -465,6 +465,11 @@ class TestDispatchAndExport:
             con.build_oslc_spec(2, 0.5)
         with pytest.raises(ValueError):
             con.build_oslc_spec(2, -0.1)
+        # an alphabet of one point has mean and peak 0, so no finite gain
+        for n in (1, 2, 24):
+            for m_s in (0, 1):
+                with pytest.raises(ValueError):
+                    con.determine_params(n, m_s, 0.2, _tcc_stats, _tcc_floor)
 
     @pytest.mark.parametrize("beta", [0, -1, 9, 2.0, True, "3"])
     @pytest.mark.parametrize("kind", con.SCHEMES)
@@ -475,28 +480,29 @@ class TestDispatchAndExport:
             con.build_spec(kind, beta, 0.2)
 
 
-def reference_scan(n, m_s, alpha, stats):
-    """The height scan on full-width indexers from H = 1, every height's
-    alphabet found in the whole box TD(n, H, n*H), up to six steps past the
-    crossing: (h, peak, mean, max_rest_coord, s_star) for each height visited."""
-    visited, crossing = [], None
-    h = 1
-    while crossing is None or h <= crossing + 6:
-        full = TdIndexer(n, h, (n * h) // 2)
-        if full.count >= m_s:
-            sel = full.selection(m_s)
+def reference_scan(n, m_s, stats):
+    """The height scan with no skip and no early stop: every height from
+    H = 1 until the box no longer binds (H >= s_star).  Heights are indexed
+    in full until one holds m_s points, and then up to its boundary shell
+    s0, as the boundary shell never rises with H: (h, peak, mean,
+    max_rest_coord, s_star) for each height that holds m_s points."""
+    visited, l, h = [], None, 1
+    while not visited or visited[-1][0] < visited[-1][4]:
+        indexer = TdIndexer(n, h, (n * h) // 2 if l is None else l)
+        if indexer.count >= m_s:
+            sel = indexer.selection(m_s)
+            l = sel.s_star // 2 if l is None else l
             peak, avg = stats(sel)
             visited.append((h, peak, avg, sel.max_rest_coord, sel.s_star))
-            if crossing is None and (peak >= avg / (n * alpha) or h >= sel.s_star):
-                crossing = h
         h += 1
     return visited
 
 
-def reference_determine_params(n, m_s, alpha, stats):
-    """The alphabet of largest kappa over ``reference_scan``, ties to the smaller H."""
+def reference_determine_params(n, m_s, alpha, visited):
+    """The alphabet of largest kappa over the heights ``reference_scan``
+    visited, ties to the smaller H."""
     best = None
-    for h, peak, avg, _, s_star in reference_scan(n, m_s, alpha, stats):
+    for h, peak, avg, _, s_star in visited:
         kappa = 1 / max(Fraction(peak), avg / (n * alpha))
         if best is None or kappa > best.kappa:
             best = con.AlphabetChoice(TdParams(n, h, s_star // 2, m_s), kappa, peak, avg)
@@ -524,12 +530,12 @@ _SCAN_ALPHAS = (Fraction(1, 20), Fraction(1, 5), Fraction(3, 10), Fraction(9, 20
 
 
 def _scan_sizes(n):
-    """Alphabet sizes the scan tests run at n; at n = 24 also those of the
-    oslc design, 2**(24*beta - 13) for beta = 2..5."""
+    """Alphabet sizes the scan tests run at n, all at least 2; at n = 24 also
+    those of the oslc design, 2**(24*beta - 13) for beta = 2..5."""
     sizes = {2, 3, 2**n - 1, 2**n + 1, 3**n, 2 ** (2 * n) + 5, 2 ** min(5 * n, 120)}
     if n == 24:
         sizes |= {2 ** (24 * beta - 13) for beta in range(2, 6)}
-    return sorted(sizes)
+    return sorted(sizes - {1})
 
 
 class TestHeightScan:
@@ -539,38 +545,38 @@ class TestHeightScan:
             assert con._even_sum_count(n, h) == TdIndexer(n, h, (n * h) // 2).count
 
     @pytest.mark.parametrize("design", ["tcc", "oslc"])
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24])
     def test_matches_full_width_scan(self, n, design):
         # The fast scan skips heights by their closed-form count, caps each
-        # later indexer at the previous boundary shell and stops once no
-        # taller box can win; it must pick the same alphabet as the
-        # full-width scan.
+        # later indexer at the previous boundary shell and stops by its two
+        # rules; it must pick the same alphabet as the scan that visits every
+        # height until the box no longer binds.
         stats, floor = (_tcc_stats, _tcc_floor) if design == "tcc" else \
             (_oslc_stats, con._oslc_peak_floor)
         for m_s in _scan_sizes(n):
+            visited = reference_scan(n, m_s, stats)
             for alpha in _SCAN_ALPHAS:
                 assert con.determine_params(n, m_s, alpha, stats, floor) == \
-                    reference_determine_params(n, m_s, alpha, stats), (m_s, alpha)
+                    reference_determine_params(n, m_s, alpha, visited), (m_s, alpha)
 
     def test_taller_boxes_reach_the_peak_floor(self, monkeypatch):
-        # The early stop after height h rests on every taller box H' having
-        # max_rest_coord >= min(h + 1, s_inf), hence peak(H') >=
-        # floor(min(h + 1, s_inf)), where s_inf is the boundary shell of a
-        # box that does not bind.
+        # The second stop rule, after a height h whose box still binds
+        # (h < s_star), rests on every taller box H' having max_rest_coord
+        # >= h + 1, hence peak(H') >= floor(h + 1).
         for n in (2, 5, 24):
             for m_s in _scan_sizes(n):
-                s_inf = con._unbounded_boundary_shell(n, m_s)
-                assert TdIndexer(n, s_inf, s_inf // 2).selection(m_s).s_star == s_inf, (n, m_s)
                 for stats, floor in ((_tcc_stats, _tcc_floor), (_oslc_stats, con._oslc_peak_floor)):
-                    for alpha in _SCAN_ALPHAS:
-                        visited = reference_scan(n, m_s, alpha, stats)
-                        for i, (h, *_) in enumerate(visited):
-                            least = min(h + 1, s_inf)
-                            for taller, peak, _, rest, _ in visited[i + 1:]:
-                                assert rest >= least and peak >= floor(least), \
-                                    (n, m_s, alpha, h, taller)
+                    visited = reference_scan(n, m_s, stats)
+                    for i, (h, *_, s_star) in enumerate(visited):
+                        if h >= s_star:
+                            continue
+                        for taller, peak, _, rest, _ in visited[i + 1:]:
+                            assert rest >= h + 1 and peak >= floor(h + 1), (n, m_s, h, taller)
         heights = []
         indexer = con.TdIndexer
         monkeypatch.setattr(con, "TdIndexer", lambda *a: heights.append(a[1]) or indexer(*a))
-        con.build_tcc_spec(5, Fraction(1, 5))
-        assert len(heights) == 31
+        # at alpha = 1/100 the box stops binding before rule 2 holds
+        for beta, alpha, visits in ((5, Fraction(1, 5), 31), (2, Fraction(1, 100), 27)):
+            heights.clear()
+            con.build_tcc_spec(beta, alpha)
+            assert len(heights) == visits, (beta, alpha)

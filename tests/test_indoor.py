@@ -17,9 +17,6 @@ def room():
 
 
 class TestGeometry:
-    def test_lambert_order_is_one_at_sixty_degrees(self, room):
-        assert room.lambert_order == pytest.approx(1.0, abs=1e-14)
-
     def test_concentrator_gain(self, room):
         assert room.concentrator_gain == pytest.approx(3.0, rel=1e-14)
 

@@ -140,17 +140,15 @@ class TestMuStar:
 class TestTStarApprox:
     def test_composition(self):
         mu = shaping.solve_mu_star(0.2)
-        assert shaping.t_star_approx(8, 0.2) == pytest.approx(
+        assert shaping.solve_t_star(8, 0.2).t_star_approx == pytest.approx(
             1.6 + 1.0 / mu, abs=1e-13
         )
 
     @pytest.mark.parametrize("alpha", [0.2, 0.3])
     def test_error_shrinks_with_dimension(self, alpha):
         def gap(n):
-            return abs(
-                shaping.solve_t_star(n, alpha).t_star
-                - shaping.t_star_approx(n, alpha)
-            )
+            sol = shaping.solve_t_star(n, alpha)
+            return abs(sol.t_star - sol.t_star_approx)
 
         assert gap(32) < gap(2)
 
@@ -158,13 +156,11 @@ class TestTStarApprox:
         # The asymptotic correction 1/mu_star blows up as alpha -> 1/2, so a
         # coarse 0.2 bound at n = 1 only holds up to alpha around 0.35.
         sol = shaping.solve_t_star(1, 0.35)
-        assert abs(sol.t_star - shaping.t_star_approx(1, 0.35)) < 0.2
+        assert abs(sol.t_star - sol.t_star_approx) < 0.2
 
     def test_one_dimension_gap_grows_toward_half(self):
-        gaps = [
-            abs(shaping.solve_t_star(1, a).t_star - shaping.t_star_approx(1, a))
-            for a in (0.2, 0.3, 0.4, 0.45)
-        ]
+        sols = [shaping.solve_t_star(1, a) for a in (0.2, 0.3, 0.4, 0.45)]
+        gaps = [abs(s.t_star - s.t_star_approx) for s in sols]
         assert gaps == sorted(gaps)
 
 

@@ -48,14 +48,6 @@ class TestQFunction:
         assert sim.q_function(u + step) < sim.q_function(u)
 
 
-class TestOsnrConversion:
-    @given(st.floats(-20, 200))
-    def test_round_trip(self, osnr):
-        sigma = sim.osnr_to_sigma(osnr)
-        assert sigma > 0
-        assert sim.sigma_to_osnr(sigma) == pytest.approx(osnr, abs=1e-9)
-
-
 class TestUnionBound:
     def test_hand_evaluated_point(self, oslc_b4):
         osnr = 23.0
