@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .codes import GOLAY, BinaryBlockCode
 from .constellations import SCHEMES, build_spec
-from .indoor import RoomConfig, osnr_map, survey_ser
+from .indoor import RoomConfig, check_survey, osnr_map, survey_ser
 from .selfcheck import run_property_suite
 from .shaping import solve_t_star
 from .simulate import ser_sweep
@@ -242,6 +242,7 @@ def _cmd_indoor(args, config, argv) -> int:
     positions = _resolve_int(args, config, "positions", 100)
     trials = _resolve_int(args, config, "trials_per_pos", 10_000)
     grid_step = _resolve_float(args, config, "grid_step", 0.25)
+    check_survey(positions, trials, threads)
     room = _room_from_config(config)
     spec = build_spec(scheme, beta, alpha)
 

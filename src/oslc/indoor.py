@@ -18,13 +18,14 @@ from numbers import Integral
 import numpy as np
 
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, _worker_pool, simulate_ser
+from .simulate import SerRecord, _check_threads, _worker_pool, simulate_ser
 
 __all__ = [
     "LinkBudget",
     "OsnrMap",
     "RoomConfig",
     "SerSurvey",
+    "check_survey",
     "chip_positions",
     "lambertian_gain",
     "link_budget",
@@ -278,6 +279,15 @@ class SerSurvey:
 _MAX_POSITIONS = 100_000  # positions and their seeds are drawn up front
 
 
+def check_survey(n_positions: int, trials_per_pos: int, threads: int) -> None:
+    """ValueError unless ``survey_ser`` can run these sizes: 1.._MAX_POSITIONS
+    positions, at least one trial per position and at least one worker.
+    Cheap, so a caller can check before it computes anything else."""
+    if not (1 <= n_positions <= _MAX_POSITIONS and trials_per_pos >= 1):
+        raise ValueError(f"need 1..{_MAX_POSITIONS} positions and at least one trial")
+    _check_threads(threads)
+
+
 def survey_ser(
     room: RoomConfig,
     spec: ConstellationSpec,
@@ -296,8 +306,7 @@ def survey_ser(
     signal at all, so its trials are all counted as errors.  At
     ``threads`` > 1 every position runs in one shared worker pool.
     """
-    if not (1 <= n_positions <= _MAX_POSITIONS and trials_per_pos >= 1):
-        raise ValueError(f"need 1..{_MAX_POSITIONS} positions and at least one trial")
+    check_survey(n_positions, trials_per_pos, threads)
     root = np.random.SeedSequence(seed)
     pos_rng = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
     half = room.sample_halfwidth

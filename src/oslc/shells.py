@@ -17,9 +17,14 @@ indexer's largest admissible sum smax = min(2L, n*H): no count the indexer
 needs reads a column beyond it, and the alphabets in use have smax far
 below n*H.
 
-Rank, unrank, the selection statistics and the sampler all read one cache
-of cumulative block rows per indexer, ``TdIndexer._cum_rows[m][s]``
-(m < n, s <= smax), whose rows are built from the table on first use.
+Cardinalities and selection statistics read only rows n - 1 and n, which
+``_last_rows`` builds in closed form, so the box-height scan of
+``constellations.determine_params`` builds no full table.  The full table
+is built once per indexer, on first use: by rank/unrank at a depth m < n - 1
+or by the sampler.  Rank, unrank, the selection statistics and the sampler
+all read one cache of cumulative block rows per indexer,
+``TdIndexer._cum_rows[m][s]`` (m < n, s <= smax), whose rows are built from
+those table rows on first use.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
-from operator import sub
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
+from math import comb
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -55,21 +61,50 @@ class TdParams:
         return TdIndexer(self.n, self.h, self.l)
 
 
+def _window_step(prev: tuple[int, ...], h: int, smax: int) -> tuple[int, ...]:
+    """Row m of the table from row m - 1, both cut at smax: a windowed sum,
+        N[m][s] = pre[s] - pre[s-h-1],   pre = prefix sums of N[m-1].
+    N[m][s] reads no column of row m - 1 beyond s, so the cut rows stay
+    exact.  The differences for s > h run in ``map``, which stops at the
+    shorter slice (none when h >= smax).
+    """
+    pre = list(accumulate(prev))
+    return tuple(pre[:h + 1]) + tuple(map(sub, pre[h + 1:], pre[:smax - h]))
+
+
 @lru_cache(maxsize=64)
 def _composition_table(n: int, h: int, smax: int) -> tuple[tuple[int, ...], ...]:
-    """Table N[m][s], s = 0..smax: number of vectors in {0..h}^m with sum s.
-
-    Row m is a windowed sum of row m - 1,
-        N[m][s] = pre[s] - pre[s-h-1],   pre = prefix sums of N[m-1],
-    and N[m][s] reads no column of row m - 1 beyond s, so cutting every row
-    at smax leaves the kept entries exact.  The differences for s > h run
-    in ``map``, which stops at the shorter slice (none when h >= smax).
-    """
+    """Table N[m][s], m = 0..n, s = 0..smax: number of vectors in {0..h}^m
+    with sum s, one ``_window_step`` per row."""
     rows = [tuple([1] + [0] * smax)]
     for _ in range(n):
-        pre = list(accumulate(rows[-1]))
-        rows.append(tuple(pre[:h + 1]) + tuple(map(sub, pre[h + 1:], pre[:smax - h])))
+        rows.append(_window_step(rows[-1], h, smax))
     return tuple(rows)
+
+
+def _last_rows(n: int, h: int, smax: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rows n - 1 and n of ``_composition_table(n, h, smax)``, built without
+    the rows below them.
+
+    Row m = n - 1 is the stars-and-bars count of m-tuples summing to s with
+    inclusion-exclusion over the coordinates that exceed h,
+        N[m][s] = sum over i of (-1)^i C(m, i) C(s - i(h+1) + m - 1, m - 1),
+    the binomial column C(t + m - 1, m - 1), t = 0..smax, built
+    incrementally and each term added in one ``map`` pass shifted by
+    i(h+1).  At m = 0 the column is (1, 0, ..., 0) and there are no terms.
+    Row n is one ``_window_step`` of row n - 1.
+    """
+    m = n - 1
+    col = [1]
+    for t in range(1, smax + 1):
+        col.append(col[-1] * (t + m - 1) // t)
+    row = list(col)
+    for i in range(1, min(m, smax // (h + 1)) + 1):
+        shift = i * (h + 1)
+        term = map(mul, col, repeat(comb(m, i)))
+        row[shift:] = map(sub if i % 2 else add, row[shift:], term)
+    row = tuple(row)
+    return row, _window_step(row, h, smax)
 
 
 class TdIndexer:
@@ -90,12 +125,20 @@ class TdIndexer:
         # Largest even coordinate sum actually admissible.
         if self.smax % 2 == 1:
             self.smax -= 1
-        self._table = _composition_table(n, h, self.smax)
-        self.shell_sizes = list(self._table[n][::2])         # per even shell s = 0, 2, 4, ...
+        # Rows n - 1 and n of the composition table: all that counting and
+        # the selection statistics read.
+        self._row_rest, row_all = _last_rows(n, h, self.smax)
+        self.shell_sizes = list(row_all[::2])                # per even shell s = 0, 2, 4, ...
         self.shell_cum = list(accumulate(self.shell_sizes))  # cumulative counts, same order
         self.count = self.shell_cum[-1]
         # _cum_rows[m][s] is the row _cum_blocks(m, s), built on first use.
         self._cum_rows = [[None] * (self.smax + 1) for _ in range(n)]
+
+    @cached_property
+    def _table(self) -> tuple[tuple[int, ...], ...]:
+        """The whole composition table, for rank/unrank rows at m < n - 1
+        and the sampler; built on first use."""
+        return _composition_table(self.n, self.h, self.smax)
 
     # -- counting helpers -------------------------------------------------
 
@@ -109,7 +152,7 @@ class TdIndexer:
         """
         row = self._cum_rows[m][s]
         if row is None:
-            counts = self._table[m]
+            counts = self._row_rest if m == self.n - 1 else self._table[m]
             row = self._cum_rows[m][s] = list(
                 accumulate(counts[s - v] for v in range(min(self.h, s) + 1))
             )
@@ -171,29 +214,30 @@ class TdIndexer:
         k = bisect.bisect_left(self.shell_cum, m_s)
         s_star = 2 * k
         before = self.shell_cum[k - 1] if k > 0 else 0
-        partial = m_s - before      # points taken from the boundary shell
-        full_shells = k             # shells 0, 2, ..., s_star - 2 are complete
+        partial = m_s - before      # points taken from the boundary shell;
+                                    # shells 0, 2, ..., s_star - 2 are complete
 
-        sum_l1 = 0
-        for i in range(full_shells):
-            sum_l1 += (2 * i) * self.shell_sizes[i]
-        sum_l1 += s_star * partial
+        sum_l1 = sum(map(mul, range(0, s_star, 2), self.shell_sizes)) + s_star * partial
 
         # First-coordinate marginal: complete shells contribute the full
         # (n-1)-dimensional counts, sum over i < k of N[n-1][2i - v], which is
         # the alternating prefix sum alt[t] = N[n-1][t] + alt[t-2] at
-        # t = s_star - 2 - v; the boundary shell is a lexicographic prefix,
-        # so it fills the cumulative blocks of value v = 0, 1, ... up to
-        # ``partial`` points.
-        row = self._table[self.n - 1]
-        alt = []
-        for t in range(s_star - 1):
-            alt.append(row[t] + (alt[t - 2] if t >= 2 else 0))
-        marg = [alt[s_star - 2 - v] if v <= s_star - 2 else 0 for v in range(self.h + 1)]
-        taken = 0
-        for v, c in enumerate(self._cum_blocks(self.n - 1, s_star)):
-            marg[v] += min(partial, c) - taken
-            taken = min(partial, c)
+        # t = s_star - 2 - v: one running sum over the even t < s_star, one
+        # over the odd (whose last, t = s_star - 1, no v reads).  The boundary
+        # shell is a lexicographic prefix: it holds the whole blocks
+        # N[n-1][s_star - v] of the values v < j and ``partial`` - cum[j-1]
+        # points of value j, the first whose cumulative block reaches
+        # ``partial``.
+        row = self._row_rest
+        alt = [0] * s_star
+        alt[0::2] = accumulate(row[0:s_star:2])
+        alt[1::2] = accumulate(row[1:s_star:2])
+        marg = alt[::-1][1:self.h + 2]
+        marg += [0] * (self.h + 1 - len(marg))
+        cum = self._cum_blocks(self.n - 1, s_star)
+        j = bisect.bisect_left(cum, partial)
+        marg[:j] = map(add, marg[:j], row[s_star:s_star - j:-1])
+        marg[j] += partial - (cum[j - 1] if j else 0)
         return TdSelection(
             indexer=self,
             m_s=m_s,

@@ -160,6 +160,12 @@ def _pool_run(task: tuple[float, int, int, int]) -> int:
 _MAX_BATCH_SIZE = 65_536
 
 
+def _check_threads(threads: int) -> None:
+    """ValueError unless at least one worker is asked for."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+
+
 @contextmanager
 def _worker_pool(spec: ConstellationSpec, threads: int, batch_size: int):
     """Yield ``(pool, window)`` for any number of operating points of ``spec``.
@@ -172,8 +178,7 @@ def _worker_pool(spec: ConstellationSpec, threads: int, batch_size: int):
     """
     if not 1 <= batch_size <= _MAX_BATCH_SIZE:
         raise ValueError(f"batch_size must be in 1..{_MAX_BATCH_SIZE}, got {batch_size}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    _check_threads(threads)
     threads = min(threads, len(os.sched_getaffinity(0)))
     if threads == 1:
         yield None, 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oslc
-from oslc import cli, shaping
+from oslc import cli, indoor, shaping
 from oslc.cli import main
 
 
@@ -152,6 +152,23 @@ class TestIndoorCommand:
         monkeypatch.setattr(cli, "survey_ser", failing_survey)
         assert self.run_survey(tmp_path / "indoor.csv") == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ("--positions", "1000000000000"), ("--positions", "0"),
+        ("--trials-per-pos", "0"), ("--threads", "0"),
+    ])
+    def test_bad_survey_size_exits_before_the_heatmap(self, tmp_path, monkeypatch, capsys, flags):
+        # The heatmap at a 0.01 m step is 160,801 link budgets; none may run.
+        def no_link_budget(*args):
+            raise AssertionError("link budget computed before the survey sizes were checked")
+
+        monkeypatch.setattr(indoor, "link_budget", no_link_budget)
+        out = tmp_path / "indoor.csv"
+        argv = ["indoor", "--scheme", "cubic", "--beta", "2", "--grid-step", "0.01",
+                "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("oslc: ")
+        assert not out.exists()
 
     def test_heatmap_covers_grid_inside_published_window(self, tmp_path):
         out = tmp_path / "indoor.csv"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oslc import constellations as con
 from oslc.codes import GOLAY
 from oslc.lattices import XI, bdd_half_lattice_batch, in_half_lattice
-from oslc.shells import TdIndexer, TdParams
+from oslc.shells import TdIndexer, TdParams, _composition_table
 
 
 def random_words(rng, spec, count):
@@ -580,3 +580,13 @@ class TestHeightScan:
             heights.clear()
             con.build_tcc_spec(beta, alpha)
             assert len(heights) == visits, (beta, alpha)
+
+    @pytest.mark.parametrize("kind", ["oslc", "tcc"])
+    def test_only_the_sampler_builds_a_full_table(self, kind):
+        # The scan reads two closed-form rows per height; the one full
+        # composition table of a spec is built when its sampler is.
+        _composition_table.cache_clear()
+        spec = con.build_spec(kind, 5, 0.2)
+        assert _composition_table.cache_info().misses == 0
+        spec.sampler
+        assert _composition_table.cache_info().misses == 1

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oslc.constellations import build_spec
-from oslc.shells import TdIndexer, TdParams, TdSampler
+from oslc.shells import TdIndexer, TdParams, TdSampler, _composition_table, _last_rows
 
 
 def enumerate_set(n, h, l):
@@ -89,6 +89,16 @@ class TestCounting:
             idx = TdIndexer(n, h, l)
             assert [list(row) for row in idx._table] == \
                 [row[:idx.smax + 1] for row in full_table(n, h)], (n, h, l)
+
+    @pytest.mark.parametrize(
+        "n,h,smax",
+        [(n, h, smax) for n in (1, 2, 3, 4, 5, 6, 24) for h in (0, 1, 3, 43, 62)
+         for smax in sorted({0, 1, h, h + 1, n * h})]
+        # the largest tcc alphabets at beta = 8
+        + [(24, 516, 2584), (24, 354, 1772)],
+    )
+    def test_last_rows_are_the_table_rows(self, n, h, smax):
+        assert _last_rows(n, h, smax) == _composition_table(n, h, smax)[n - 1:]
 
     def test_large_counts_are_exact_integers(self):
         big = TdIndexer(24, 43, 106).count
