@@ -50,6 +50,15 @@ def _axis_length(steps, text: str) -> int:
     return round(steps) + 1
 
 
+def _parse_list(text: str, kind) -> list:
+    """The ``kind`` values of a comma list; ValueError if it has none."""
+    _axis_length(text.count(","), text)
+    values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"axis {text!r} has no points")
+    return values
+
+
 def _parse_int_axis(text: str) -> list[int]:
     """Parse "24", "2,5,9", or an inclusive range "2:32"."""
     text = text.strip()
@@ -63,8 +72,7 @@ def _parse_int_axis(text: str) -> list[int]:
             raise ValueError(f"bad integer range {text!r}")
         _axis_length((stop - start) // step, text)
         return list(range(start, stop + 1, step))
-    _axis_length(text.count(","), text)
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _parse_list(text, int)
 
 
 def _parse_float_axis(text: str) -> list[float]:
@@ -79,8 +87,7 @@ def _parse_float_axis(text: str) -> list[float]:
             raise ValueError(f"bad float range {text!r}")
         count = _axis_length((stop - start) / step, text)
         return [round(start + i * step, 10) for i in range(count)]
-    _axis_length(text.count(","), text)
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _parse_list(text, float)
 
 
 def _fmt(value) -> str:
@@ -132,6 +139,20 @@ def _resolve(args, config: dict, key: str, default, kinds=str, what="a string"):
     return value
 
 
+def _resolve_out(args, config: dict, default: str) -> Path:
+    """The ``out`` path, or ValueError if it names a directory or its
+    directory is missing: checked before any work, not after it."""
+    out = Path(_resolve(args, config, "out", default))
+    try:
+        if out.is_dir():
+            raise ValueError(f"out {str(out)!r} is a directory")
+        if not out.parent.is_dir():
+            raise ValueError(f"out {str(out)!r}: {str(out.parent)!r} is not a directory")
+    except OSError as exc:  # a name too long, say
+        raise ValueError(f"out {str(out)!r}: {exc.strerror}") from None
+    return out
+
+
 def _resolve_int(args, config: dict, key: str, default: int) -> int:
     return _resolve(args, config, key, default, int, "an integer")
 
@@ -166,7 +187,7 @@ def _room_from_config(config: dict) -> RoomConfig:
 
 def _cmd_shaping(args, config, argv) -> int:
     started = time.perf_counter()
-    out = Path(_resolve(args, config, "out", "shaping.csv"))
+    out = _resolve_out(args, config, "shaping.csv")
     dims = _parse_int_axis(_resolve(args, config, "n", "2:32"))
     for n in dims:
         if n not in _SHAPING_DIMS:
@@ -198,7 +219,7 @@ def _cmd_shaping(args, config, argv) -> int:
 
 def _cmd_ser(args, config, argv) -> int:
     started = time.perf_counter()
-    out = Path(_resolve(args, config, "out", "ser.csv"))
+    out = _resolve_out(args, config, "ser.csv")
     scheme, beta, alpha, seed, threads = _resolve_design(args, config)
     grid = _parse_float_axis(_resolve(args, config, "osnr", "24:29:1"))
     spec = build_spec(scheme, beta, alpha)
@@ -237,7 +258,7 @@ def _cmd_ser(args, config, argv) -> int:
 
 def _cmd_indoor(args, config, argv) -> int:
     started = time.perf_counter()
-    out = Path(_resolve(args, config, "out", "indoor.csv"))
+    out = _resolve_out(args, config, "indoor.csv")
     scheme, beta, alpha, seed, threads = _resolve_design(args, config)
     positions = _resolve_int(args, config, "positions", 100)
     trials = _resolve_int(args, config, "trials_per_pos", 10_000)
@@ -286,7 +307,7 @@ def _cmd_indoor(args, config, argv) -> int:
 
 def _cmd_verify(args, config, argv) -> int:
     started = time.perf_counter()
-    out = Path(_resolve(args, config, "out", "verify.json"))
+    out = _resolve_out(args, config, "verify.json")
     seed = _resolve_int(args, config, "seed", 0)
     code = GOLAY
     if getattr(args, "corrupt_code", False):

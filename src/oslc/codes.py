@@ -133,15 +133,11 @@ class BinaryBlockCode:
         scan's, ties included.
         """
         delta = np.asarray(cost1, dtype=np.float64) - np.asarray(cost0, dtype=np.float64)
-        rows = delta.shape[0]
-        out = np.empty(rows, dtype=np.int64)
-        scan = np.arange(rows)
-        if self._blocks is not None:
-            sure = np.zeros(rows, dtype=bool)
-            work = self._blocks.workspace(min(rows, _BLOCK_ROWS))
-            for lo in range(0, rows, _BLOCK_ROWS):
-                part = slice(lo, lo + _BLOCK_ROWS)
-                out[part], sure[part] = self._blocks.decode(delta[part], work)
+        if self._blocks is None:
+            out = np.empty(delta.shape[0], dtype=np.int64)
+            scan = np.arange(delta.shape[0])
+        else:
+            out, sure = self._blocks.decode(delta)
             scan = np.flatnonzero(~sure)
         chunk = max(1, (1 << 23) // (1 << self.k))
         for lo in range(0, scan.size, chunk):
@@ -150,9 +146,6 @@ class BinaryBlockCode:
         return out
 
 
-# Rows per pass of the block decoder: its (cosets, rows) tables stay in cache.
-_BLOCK_ROWS = 512
-
 # Lead that a block-decoded winner needs over every other codeword, per
 # coset-total term and relative to S = sum_j |cost1[j] - cost0[j]|; rows with
 # a smaller lead go to the scan.  The coset tables are float32, and a total of
@@ -160,22 +153,6 @@ _BLOCK_ROWS = 512
 # is real; it is also far above the scan's float64 rounding, so the scan
 # picks the same winner.
 _BLOCK_MARGIN = 1e-6
-
-
-def _padded(shape: tuple[int, ...], dtype) -> int:
-    """Bytes of a (shape, dtype) table, rounded up to a 64-byte boundary."""
-    return -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
-
-
-def _carve(buf: np.ndarray, tables) -> list[np.ndarray]:
-    """Views of the flat byte buffer ``buf``, one per (shape, dtype) in
-    ``tables``, laid end to end at 64-byte boundaries."""
-    views, at = [], 0
-    for shape, dtype in tables:
-        size = _padded(shape, dtype)
-        views.append(buf[at : at + size].view(dtype)[: math.prod(shape)].reshape(shape))
-        at += size
-    return views
 
 
 class _BlockDecoder:
@@ -225,13 +202,13 @@ class _BlockDecoder:
         self.pair = (labels[:, None] >> shifts[:nb]) & (half - 1)  # (R, nb)
         self.parity = (labels >> shifts[nb]) & 1 == 1              # (R,)
         self.flat = np.arange(nb) * half + self.pair             # (R, nb)
-        # Integer key of a word (bit j weighs 2**j), block by block, and the
-        # sorted keys of the codebook, to turn a decided word into its index.
+        # Integer key of a word (bit j weighs 2**j), block by block.  Codebook
+        # row i holds the bits of i in its first k coordinates (the generator
+        # is systematic), so a codeword's key masked to its low k bits is its
+        # message index.
         weights = np.int64(1) << np.arange(code.n, dtype=np.int64)
         self.block_keys = bits @ weights[blocks].T               # (2^b, nb)
-        keys = book @ weights
-        self.key_order = np.argsort(keys)
-        self.sorted_keys = keys[self.key_order]
+        self.message_mask = (1 << code.k) - 1
 
     @classmethod
     def find(cls, code: BinaryBlockCode) -> _BlockDecoder | None:
@@ -253,42 +230,43 @@ class _BlockDecoder:
             return None
         return cls(code, np.array(blocks))
 
-    def _tables(self, rows: int) -> list[tuple[tuple[int, ...], type]]:
-        """Shape and dtype of each of decode's work tables for ``rows`` rows:
-        metric, both (per row, then per block pattern), swap, low, gap (per
-        block pattern), total, fix, part, odd, flips (per coset)."""
-        nb, b = self.blocks.shape
-        entries, cosets = (nb << (b - 1), rows), (len(self.parity), rows)
-        return ([((rows * nb, 1 << b), np.float64), ((2,) + entries, np.float64),
-                 (entries, bool)]
-                + [(entries, np.float32)] * 2
-                + [(cosets, np.float32)] * 3 + [(cosets, bool)] * 2)
-
-    def workspace(self, rows: int) -> np.ndarray:
-        """One flat buffer that holds decode's work tables for up to ``rows``
-        rows, which every chunk of a batch fills in turn.
+    def _work_tables(self, rows: int) -> list[np.ndarray]:
+        """decode's work tables for ``rows`` rows: metric, both (per row, then
+        per block pattern), swap, low, gap (per block pattern), total, fix,
+        part, odd, flips (per coset), as views of one flat byte buffer, laid
+        end to end at 64-byte boundaries.
 
         One block rather than ten tables keeps the Monte Carlo loop off fresh
         pages: glibc raises its mmap and trim thresholds to the size of a
         freed mapped block, so from the second batch on this block comes
         from the heap.  Ten tables of up to 384 KiB each raise them less,
-        and are mapped or trimmed, and faulted in again, chunk after chunk."""
-        return np.empty(sum(_padded(*table) for table in self._tables(rows)), np.uint8)
+        and are mapped or trimmed, and faulted in again, batch after batch."""
+        nb, b = self.blocks.shape
+        entries, cosets = (nb << (b - 1), rows), (len(self.parity), rows)
+        tables = ([((rows * nb, 1 << b), np.float64), ((2,) + entries, np.float64),
+                   (entries, bool)]
+                  + [(entries, np.float32)] * 2
+                  + [(cosets, np.float32)] * 3 + [(cosets, bool)] * 2)
+        sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+                 for shape, dtype in tables]
+        buf = np.empty(sum(sizes), np.uint8)
+        views, at = [], 0
+        for (shape, dtype), size in zip(tables, sizes):
+            views.append(buf[at : at + size].view(dtype)[: math.prod(shape)].reshape(shape))
+            at += size
+        return views
 
-    def decode(self, delta: np.ndarray, work: np.ndarray | None = None):
+    def decode(self, delta: np.ndarray):
         """(message indices, sure) for each row of delta = cost1 - cost0.
 
         The per-coset tables are laid out (cosets, rows), so that gathering
         a block's entries for every coset copies whole rows.  They are
-        filled in place in ``work`` (from ``workspace``), a fresh one if None.
+        filled in place in one fresh buffer (see ``_work_tables``).
         """
         rows = delta.shape[0]
         nb, b = self.blocks.shape
         half = 1 << (b - 1)
-        if work is None:
-            work = self.workspace(rows)
-        metric, both, swap, low, gap, total, fix, part, odd, flips = \
-            _carve(work, self._tables(rows))
+        metric, both, swap, low, gap, total, fix, part, odd, flips = self._work_tables(rows)
         # One 2-D product: the stacked (rows, nb, b) form is about half as fast.
         np.matmul(delta[:, self.blocks].reshape(rows * nb, b), self.pattern_bits, out=metric)
         # first[c * half + p] and second[c * half + p]: block c's pattern p
@@ -333,8 +311,7 @@ class _BlockDecoder:
         flip[at, np.argmin(gaps, axis=1)] ^= odd_r
         pattern = np.where(flip, self.pair[r] ^ self.full, self.pair[r])
         key = self.block_keys[pattern, np.arange(nb)].sum(axis=1)
-        pos = np.minimum(np.searchsorted(self.sorted_keys, key), len(self.sorted_keys) - 1)
-        return self.key_order[pos], sure
+        return key & self.message_mask, sure
 
 
 # Systematic [I | B] generator of the extended Golay code.  B is the standard

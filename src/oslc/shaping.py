@@ -24,6 +24,7 @@ amplitude ratio.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -225,6 +226,13 @@ def solve_t_star(n: int, alpha: float) -> ShapingSolution:
     _check_alpha(alpha)
     if alpha <= 1.0 / (n + 1):
         t_star = (n + 1) * alpha
+        vol = volume(n, t_star)
+        # V = t*^n / n! here.  Below the normal doubles it has lost digits,
+        # or underflowed to 0, so its log is taken in closed form instead.
+        if vol < sys.float_info.min:
+            log_vol = n * math.log(t_star) - math.lgamma(n + 1)
+        else:
+            log_vol = math.log(vol)
     else:
         lo, hi = n * alpha, float(n)
         for _ in range(200):
@@ -236,7 +244,8 @@ def solve_t_star(n: int, alpha: float) -> ShapingSolution:
             if hi - lo <= 1e-13:
                 break
         t_star = 0.5 * (lo + hi)
-    sg_db = _DB * (math.log(volume(n, t_star)) / n - math.log(2.0 * alpha))
+        log_vol = math.log(volume(n, t_star))
+    sg_db = _DB * (log_vol / n - math.log(2.0 * alpha))
     mu = solve_mu_star(alpha)
     return ShapingSolution(
         n=n,

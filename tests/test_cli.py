@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oslc
-from oslc import cli, indoor, shaping
+from oslc import cli, indoor, selfcheck, shaping
 from oslc.cli import main
+from oslc.codes import GOLAY, BinaryBlockCode
 
 
 def read_rows(path):
@@ -224,14 +226,44 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("[PASS]") for line in lines) == report["n_checks"]
 
-    def test_injected_generator_fault_is_caught(self, tmp_path):
+    def test_corrupt_code_reaches_the_suite_and_exits_3(self, tmp_path, monkeypatch, capsys):
+        # The plumbing only: the suite is a stub that sees the code and fails
+        # one check.
+        seen = []
+
+        def suite(code, seed):
+            seen.append(code)
+            return [selfcheck.PropertyResult("golay_self_dual", False, "stub"),
+                    selfcheck.PropertyResult("shell_count_dp", True, "stub")]
+
+        monkeypatch.setattr(cli, "run_property_suite", suite)
         out = tmp_path / "verify.json"
         assert main(["verify", "--corrupt-code", "--out", str(out)]) == 3
+        (code,) = seen
+        flipped = GOLAY.generator.copy()
+        flipped[0, 23] ^= 1
+        assert np.array_equal(code.generator, flipped)
         report = json.loads(out.read_text())
-        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
-        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert [c["name"] for c in report["checks"]] == ["golay_self_dual", "shell_count_dp"]
+        assert (report["n_checks"], report["n_failed"]) == (2, 1)
+        assert "[FAIL] golay_self_dual: stub" in capsys.readouterr().out
+
+    def test_injected_generator_fault_is_caught(self):
+        # The five code-dependent checks, run on the code that --corrupt-code
+        # builds: exactly the two Golay checks see the flipped bit.
+        generator = GOLAY.generator.copy()
+        generator[0, 23] ^= 1
+        code = BinaryBlockCode(generator, name="corrupted")
+        rng = np.random.default_rng(0)
+        checks = {
+            "golay_weight_enumerator": lambda: selfcheck._check_weight_enumerator(code),
+            "golay_self_dual": lambda: selfcheck._check_self_dual(code),
+            "code_hard_decoding": lambda: selfcheck._check_hard_decoding(code, rng),
+            "half_lattice_bdd_certificate": lambda: selfcheck._check_half_lattice_bdd(code, rng),
+            "leech_bdd_certificate": lambda: selfcheck._check_leech_bdd(code, rng),
+        }
+        failed = {name for name, check in checks.items() if not check()[0]}
         assert failed == {"golay_weight_enumerator", "golay_self_dual"}
-        assert report["n_failed"] == 2
 
 
 class TestUsageErrors:
@@ -278,6 +310,10 @@ class TestUsageErrors:
         ["shaping", "--alpha", "0.001:0.4:0.0001"],
         ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "0:1000:1"],
         ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "24:inf:1"],
+        # axes with no points would write a CSV of only its header
+        ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", ","],
+        ["shaping", "--n", ","],
+        ["shaping", "--alpha", ""],
     ])
     def test_oversized_axis_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         # Stubs stand in for the solves: an axis is checked before any runs.
@@ -288,6 +324,28 @@ class TestUsageErrors:
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("oslc: ")
         assert not calls and not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "name too long"])
+    @pytest.mark.parametrize("argv", [
+        ["shaping"],
+        ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "20"],
+        ["indoor", "--scheme", "cubic", "--beta", "2", "--positions", "1",
+         "--trials-per-pos", "10"],
+        ["verify"],
+    ], ids=["shaping", "ser", "indoor", "verify"])
+    def test_unwritable_out_exits_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                  argv, where):
+        # Each stub records a call: the path is checked before any of them.
+        calls = []
+        for name in ("solve_t_star", "build_spec", "ser_sweep", "osnr_map",
+                     "survey_ser", "run_property_suite"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        out = {"missing directory": tmp_path / "missing" / "x.csv", "directory": tmp_path,
+               "name too long": tmp_path / ("x" * 300) / "x.csv"}[where]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"oslc: out {str(out)!r}")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_axes_at_their_bounds_run(self, tmp_path, monkeypatch):
         solved = []

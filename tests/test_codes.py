@@ -172,20 +172,27 @@ class TestSoftDecode:
         assert 0 < sure.sum() < rows
 
     @pytest.mark.parametrize("code", [codes.GOLAY, codes.HAMMING8], ids=["golay", "hamming8"])
-    def test_reused_workspace_matches_fresh_one(self, code):
-        # soft_ml_decode_batch fills one workspace for all the chunks of a
-        # batch; what an earlier chunk left in it, or garbage, must not leak
-        # into a later one.  Chunk sizes shrink as in a batch's last chunk.
+    def test_reused_workspace_matches_fresh_one(self, code, monkeypatch):
+        # decode's work tables come from one np.empty buffer, which the heap
+        # recycles from batch to batch; whatever it holds, here NaN in every
+        # float table and True in every flag, must not leak into the result.
+        # Chunk sizes shrink as in a batch's last chunk.
         rng = np.random.default_rng(5)
-        delta = tie_heavy_deltas(code, rng, 1200)
-        work = code._blocks.workspace(512)
-        work[:] = 0xFF  # NaN in every float table, True in every flag
-        lo, unsure = 0, 0
-        for size in (512, 512, 150, 25, 1):
-            chunk = delta[lo : lo + size]
-            lo += size
-            got_idx, got_sure = code._blocks.decode(chunk, work)
-            want_idx, want_sure = code._blocks.decode(chunk)
+        sizes = (512, 512, 150, 25, 1)
+        chunks = np.split(tie_heavy_deltas(code, rng, sum(sizes)), np.cumsum(sizes)[:-1])
+        want = [code._blocks.decode(chunk) for chunk in chunks]
+        fresh = code._blocks._work_tables
+
+        def garbage(rows):
+            tables = fresh(rows)
+            for table in tables:
+                table.fill(True if table.dtype == bool else np.nan)
+            return tables
+
+        monkeypatch.setattr(code._blocks, "_work_tables", garbage)
+        unsure = 0
+        for chunk, (want_idx, want_sure) in zip(chunks, want):
+            got_idx, got_sure = code._blocks.decode(chunk)
             assert np.array_equal(got_idx, want_idx)
             assert np.array_equal(got_sure, want_sure)
             unsure += int((~got_sure).sum())

@@ -74,6 +74,17 @@ class TestSolveTStar:
         sol = shaping.solve_t_star(3, 0.2)
         assert sol.t_star == pytest.approx(0.8, abs=1e-14)
 
+    @pytest.mark.parametrize(("n", "alpha"), [(128, 1e-3), (64, 1e-6), (125, 1e-3)])
+    def test_closed_form_gain_where_the_volume_underflows(self, n, alpha):
+        # V = t*^n / n! is 0.0 in float64 at the first two pairs and
+        # subnormal (1.9e-322, three digits) at the third.
+        with mpmath.workdps(50):
+            t = mpmath.mpf((n + 1) * alpha)
+            want = float(10 * mpmath.log10(
+                (t**n / mpmath.factorial(n)) ** (mpmath.mpf(1) / n) / (2 * mpmath.mpf(alpha))
+            ))
+        assert shaping.solve_t_star(n, alpha).sg_db == pytest.approx(want, abs=1e-12)
+
     def test_one_dimension_baseline(self):
         sol = shaping.solve_t_star(1, 0.3)
         assert sol.t_star == pytest.approx(0.6, abs=1e-14)
