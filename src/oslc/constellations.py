@@ -105,14 +105,14 @@ def _check_beta(beta) -> int:
 
 
 def _as_fraction(alpha) -> Fraction:
-    """Exact intensity target.  Floats go through repr so 0.2 means 1/5."""
-    if isinstance(alpha, Fraction):
-        frac = alpha
-    elif isinstance(alpha, float):
-        frac = Fraction(repr(alpha))
+    """Exact intensity target.  Reals that are not rationals (float and the
+    NumPy floats) go through repr(float(alpha)), so 0.2 means 1/5."""
+    if isinstance(alpha, numbers.Real) and not isinstance(alpha, numbers.Rational):
+        x = float(alpha)
+        frac = Fraction(repr(x)) if math.isfinite(x) else None
     else:
         frac = Fraction(alpha)
-    if not 0 < frac < Fraction(1, 2):
+    if frac is None or not 0 < frac < Fraction(1, 2):
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     return frac
 
@@ -507,12 +507,21 @@ def map_bits(spec: ConstellationSpec, bits) -> np.ndarray:
 
 def demap_point(spec: ConstellationSpec, point) -> np.ndarray:
     """Invert map_bits, returning int64 bits.  A wrong-length point raises
-    ValueError; non-integer or non-finite coordinates, coordinates beyond the
-    int64 range and integer vectors outside the codebook raise DemapError."""
+    ValueError; non-real, non-integer or non-finite coordinates, coordinates
+    beyond the int64 range and integer vectors outside the codebook raise
+    DemapError."""
     lam = np.asarray(point)
     if lam.shape != (spec.n,):
         raise ValueError(f"expected a length-{spec.n} point")
     if not np.issubdtype(lam.dtype, np.integer):
+        # Checked in float64: a bool point would round in float16, and rint
+        # has no loop for an object array of Python ints.
+        if lam.dtype.kind not in "bfO":
+            raise DemapError("point coordinates must be real numbers")
+        try:
+            lam = lam.astype(np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise DemapError("point coordinates must be real numbers") from None
         rounded = np.rint(lam)
         if not (np.array_equal(rounded, lam) and (np.abs(rounded) < 2.0**63).all()):
             raise DemapError("point coordinates must be integers inside the int64 range")

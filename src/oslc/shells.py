@@ -9,22 +9,22 @@ The shaping alphabet used throughout this package is
 
 Because the point counts at the sizes we care about exceed 2**100, every
 count in this module is an exact Python integer and rank/unrank work on
-arbitrary-precision indices.  The core object is a dynamic-programming
-table N[m][s] = number of m-tuples over {0..H} summing to s; everything
-else (cardinalities, rank/unrank, first-coordinate marginals, selection
-statistics) is derived from it.  The table is only as wide as the
-indexer's largest admissible sum smax = min(2L, n*H): no count the indexer
-needs reads a column beyond it, and the alphabets in use have smax far
-below n*H.
+arbitrary-precision indices.  The counts come from N[m][s] = number of
+m-tuples over {0..H} summing to s; everything else (cardinalities,
+rank/unrank, first-coordinate marginals, selection statistics) is derived
+from them.  Counts are only needed up to the indexer's largest admissible
+sum smax = min(2L, n*H): no count the indexer needs reads a column beyond
+it, and the alphabets in use have smax far below n*H.
 
 Cardinalities and selection statistics read only rows n - 1 and n, which
 ``_last_rows`` builds in closed form, so the box-height scan of
-``constellations.determine_params`` builds no full table.  The full table
-is built once per indexer, on first use: by rank/unrank at a depth m < n - 1
-or by the sampler.  Rank, unrank, the selection statistics and the sampler
-all read one cache of cumulative block rows per indexer,
-``TdIndexer._cum_rows[m][s]`` (m < n, s <= smax), whose rows are built from
-those table rows on first use.
+``constellations.determine_params`` builds no full table.  Rank, unrank
+and the sampler read one table per (n, H, smax), ``_composition_table``,
+built on first use and shared by every indexer of that size.  It holds
+prefix rows C[m][s] = N[m][0] + ... + N[m][s-1], so the points of a sum-s
+shell whose current coordinate is at most v number C[m][s+1] - C[m][s-v]:
+rank adds one such difference per coordinate, and unrank finds each
+coordinate with one bisection of a row.  No per-indexer cache is kept.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from math import comb
-from operator import add, mul, sub
+from operator import add, index as as_index, mul, sub
 
 import numpy as np
 
@@ -61,24 +61,26 @@ class TdParams:
         return TdIndexer(self.n, self.h, self.l)
 
 
-def _window_step(prev: tuple[int, ...], h: int, smax: int) -> tuple[int, ...]:
-    """Row m of the table from row m - 1, both cut at smax: a windowed sum,
-        N[m][s] = pre[s] - pre[s-h-1],   pre = prefix sums of N[m-1].
+def _window_step(pre: list[int] | tuple[int, ...], h: int, smax: int) -> tuple[int, ...]:
+    """Row m of the counts N from the running sums of row m - 1,
+    pre[s] = N[m-1][0] + ... + N[m-1][s], both cut at smax: a windowed sum,
+        N[m][s] = pre[s] - pre[s-h-1].
     N[m][s] reads no column of row m - 1 beyond s, so the cut rows stay
     exact.  The differences for s > h run in ``map``, which stops at the
     shorter slice (none when h >= smax).
     """
-    pre = list(accumulate(prev))
     return tuple(pre[:h + 1]) + tuple(map(sub, pre[h + 1:], pre[:smax - h]))
 
 
 @lru_cache(maxsize=64)
 def _composition_table(n: int, h: int, smax: int) -> tuple[tuple[int, ...], ...]:
-    """Table N[m][s], m = 0..n, s = 0..smax: number of vectors in {0..h}^m
-    with sum s, one ``_window_step`` per row."""
-    rows = [tuple([1] + [0] * smax)]
+    """Prefix table C[m][s], m = 0..n, s = 0..smax + 1: number of vectors in
+    {0..h}^m with sum below s, so N[m][s] = C[m][s+1] - C[m][s].  Row m is
+    one ``_window_step`` of C[m-1][1:], the running sums of row m - 1, then
+    one prefix sum."""
+    rows = [(0,) + (1,) * (smax + 1)]
     for _ in range(n):
-        rows.append(_window_step(rows[-1], h, smax))
+        rows.append(tuple(accumulate(_window_step(rows[-1][1:], h, smax), initial=0)))
     return tuple(rows)
 
 
@@ -92,7 +94,7 @@ def _last_rows(n: int, h: int, smax: int) -> tuple[tuple[int, ...], tuple[int, .
     the binomial column C(t + m - 1, m - 1), t = 0..smax, built
     incrementally and each term added in one ``map`` pass shifted by
     i(h+1).  At m = 0 the column is (1, 0, ..., 0) and there are no terms.
-    Row n is one ``_window_step`` of row n - 1.
+    Row n is one ``_window_step`` of the running sums of row n - 1.
     """
     m = n - 1
     col = [1]
@@ -104,7 +106,7 @@ def _last_rows(n: int, h: int, smax: int) -> tuple[tuple[int, ...], tuple[int, .
         term = map(mul, col, repeat(comb(m, i)))
         row[shift:] = map(sub if i % 2 else add, row[shift:], term)
     row = tuple(row)
-    return row, _window_step(row, h, smax)
+    return row, _window_step(list(accumulate(row)), h, smax)
 
 
 class TdIndexer:
@@ -131,13 +133,11 @@ class TdIndexer:
         self.shell_sizes = list(row_all[::2])                # per even shell s = 0, 2, 4, ...
         self.shell_cum = list(accumulate(self.shell_sizes))  # cumulative counts, same order
         self.count = self.shell_cum[-1]
-        # _cum_rows[m][s] is the row _cum_blocks(m, s), built on first use.
-        self._cum_rows = [[None] * (self.smax + 1) for _ in range(n)]
 
     @cached_property
     def _table(self) -> tuple[tuple[int, ...], ...]:
-        """The whole composition table, for rank/unrank rows at m < n - 1
-        and the sampler; built on first use."""
+        """The prefix table ``_composition_table(n, h, smax)``, for
+        rank/unrank and the sampler; built on first use."""
         return _composition_table(self.n, self.h, self.smax)
 
     # -- counting helpers -------------------------------------------------
@@ -146,20 +146,19 @@ class TdIndexer:
         """Cumulative block sizes over the current coordinate value v = 0, 1, ...
 
         Entry v holds the number of vectors in {0..h}^(m+1) with sum s whose
-        first coordinate is <= v, for s <= smax.  Cached in ``_cum_rows``,
-        which rank/unrank read directly: they revisit the same (m, s) states
-        constantly, and call this only to fill an empty slot.
+        first coordinate is <= v, for s <= smax: C[m][s+1] - C[m][s-v].
+        Row n - 1 is summed from ``_row_rest``, so ``selection`` builds no
+        full table.
         """
-        row = self._cum_rows[m][s]
-        if row is None:
-            counts = self._row_rest if m == self.n - 1 else self._table[m]
-            row = self._cum_rows[m][s] = list(
-                accumulate(counts[s - v] for v in range(min(self.h, s) + 1))
-            )
-        return row
+        k = min(self.h, s)
+        if m == self.n - 1:
+            return list(accumulate(self._row_rest[s - k:s + 1][::-1]))
+        c = self._table[m]
+        return [c[s + 1] - x for x in c[s - k:s + 1][::-1]]
 
     def shell_of(self, index: int) -> tuple[int, int]:
         """Return (shell sum s, rank inside the shell) for a global index."""
+        index = as_index(index)
         if not 0 <= index < self.count:
             raise IndexError(f"index {index} out of range for {self.count} points")
         k = bisect.bisect_right(self.shell_cum, index)
@@ -170,16 +169,19 @@ class TdIndexer:
     # -- rank / unrank ----------------------------------------------------
 
     def unrank(self, index: int) -> np.ndarray:
+        """The point of rank ``index``.  With m coordinates after the
+        current one and sum s left, the values below v hold
+        C[m][s+1] - C[m][s-v+1] points, so v = s + 1 - t for the first t in
+        [s - h, s + 1] with C[m][s+1] - C[m][t] <= r: one bisection of row m."""
         s, r = self.shell_of(index)
-        rows = self._cum_rows
+        h = self.h
         out = []
-        for m in range(self.n - 1, -1, -1):
-            row = rows[m][s] or self._cum_blocks(m, s)
-            v = bisect.bisect_right(row, r)
-            if v:
-                r -= row[v - 1]
-            out.append(v)
-            s -= v
+        for c in self._table[self.n - 1::-1]:
+            x = c[s + 1] - r
+            t = bisect.bisect_left(c, x, s - h if s > h else 0, s + 1)
+            r = c[t] - x
+            out.append(s + 1 - t)
+            s = t - 1
         return np.array(out, dtype=np.int64)
 
     def rank(self, point) -> int:
@@ -198,11 +200,9 @@ class TdIndexer:
             raise ValueError("point outside the indexed set")
         k = s // 2
         r = self.shell_cum[k - 1] if k > 0 else 0
-        rows = self._cum_rows
-        for m, v in zip(range(self.n - 1, -1, -1), vals):
-            if v:
-                r += (rows[m][s] or self._cum_blocks(m, s))[v - 1]
-                s -= v
+        for c, v in zip(self._table[self.n - 1::-1], vals):
+            r += c[s + 1] - c[s - v + 1]
+            s -= v
         return r
 
     # -- statistics over a canonical prefix (the selected alphabet) -------
@@ -321,7 +321,9 @@ class TdSampler:
         # P(coordinate <= v | m coordinates remain with total sum s), the
         # cumulative sum over v of N[m-1][s - v], which reaches 1 at
         # v = min(h, s).  Rows with s > m*h are unreachable and stay all ones.
-        floats = [np.array([float(x) for x in row[:s_star + 1]]) for row in indexer._table]
+        # floats[m][s] is N[m][s] = C[m][s+1] - C[m][s], exact until rounded.
+        floats = [np.fromiter(map(sub, c[1:s_star + 2], c), dtype=np.float64, count=s_star + 1)
+                  for c in indexer._table]
         s_col = np.arange(s_star + 1)[:, None]
         v_row = np.arange(h + 1)
         # Entries with v > s gather column 0; they all lie where the cdf has

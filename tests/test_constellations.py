@@ -364,13 +364,26 @@ class TestDemapping:
             con.demap_point(oslc_b4, np.full(24, 0.5))
 
     @pytest.mark.parametrize("kind", con.SCHEMES)
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 2.0**63, -(2.0**63), 1e300])
+    @pytest.mark.parametrize(
+        "value",
+        [np.inf, -np.inf, np.nan, 2.0**63, -(2.0**63), 1e300, 2**70,
+         pytest.param(10**400, id="int-1e400"), 1j, True],
+    )
     def test_non_finite_or_huge_coordinate_rejected_before_the_cast(self, kind, value):
+        # Python ints beyond int64 make an object array (10**400 also beyond
+        # float64), 1j a complex one, and True a bool point, which np.rint
+        # would round in float16.  None may raise otherwise or warn.
         spec = con.build_spec(kind, 2, 0.2)
-        point = np.zeros(24)
+        point = np.zeros(24, dtype=bool) if value is True else [0] * 24
         point[3] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if value is True and kind == "cubic":
+                # cubic holds the 0/1 point and demaps it like its integer
+                # twin; oslc and tcc reject it (coordinate 3 alone is odd)
+                twin = np.asarray(point, dtype=np.int64)
+                assert np.array_equal(con.demap_point(spec, point), con.demap_point(spec, twin))
+                return
             with pytest.raises(con.DemapError):
                 con.demap_point(spec, point)
 
@@ -465,6 +478,17 @@ class TestDispatchAndExport:
             con.build_oslc_spec(2, 0.5)
         with pytest.raises(ValueError):
             con.build_oslc_spec(2, -0.1)
+        # non-rational reals go through repr(float(alpha)): NumPy floats
+        # included, and non-finite ones fail like any alpha out of range
+        for bad in (np.inf, -np.inf, np.nan, np.float64(np.inf), np.float32(0.5)):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                con.build_oslc_spec(2, bad)
+        want = con.build_spec("oslc", 2, 0.2)
+        got = con.build_spec("oslc", 2, np.float64(0.2))
+        assert got.alpha == want.alpha == Fraction(1, 5)
+        assert (got.kappa, got.td) == (want.kappa, want.td)
+        single = np.float32(0.2)
+        assert con.build_spec("oslc", 2, single).alpha == Fraction(repr(float(single)))
         # an alphabet of one point has mean and peak 0, so no finite gain
         for n in (1, 2, 24):
             for m_s in (0, 1):

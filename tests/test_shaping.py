@@ -56,6 +56,12 @@ class TestVolume:
         assert shaping.volume(n, t) == pytest.approx(want, rel=1e-12)
 
 
+def exact_first_moment(n, t):
+    """P_n(t) = (t - J(t)/V(t)) / n in exact rationals."""
+    v = shaping._alternating_exact(n, t, n)
+    return (t - shaping._alternating_exact(n, t, n + 1) / v) / n
+
+
 class TestFirstMoment:
     def test_endpoint_is_half(self):
         for n in (2, 5, 24):
@@ -63,10 +69,15 @@ class TestFirstMoment:
 
     @given(st.integers(2, 24), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     def test_strictly_increasing(self, n, a, b):
+        # The increase is asserted on the exact rational moment: near t = n
+        # two moments can differ by less than one float64 ulp.
         lo, hi = sorted((a * n, b * n))
         if hi - lo < 1e-6:
             return
-        assert shaping.avg_first_moment(n, lo) < shaping.avg_first_moment(n, hi)
+        exact = [exact_first_moment(n, Fraction(t)) for t in (lo, hi)]
+        assert exact[0] < exact[1]
+        for t, want in zip((lo, hi), exact):
+            assert shaping.avg_first_moment(n, t) == pytest.approx(float(want), rel=1e-12)
 
 
 class TestSolveTStar:

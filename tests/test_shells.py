@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -38,6 +39,11 @@ def full_table(n, h):
         prev = rows[-1]
         rows.append([sum(prev[s - v] for v in range(min(h, s) + 1)) for s in range(n * h + 1)])
     return rows
+
+
+def counts_of(prefix_row):
+    """N[m][s] from a prefix row C[m]: differences of adjacent entries."""
+    return [b - a for a, b in zip(prefix_row, prefix_row[1:])]
 
 
 def reference_cdf_rows(n, h, m, s_star):
@@ -87,7 +93,8 @@ class TestCounting:
     def test_tables_are_the_full_tables_cut_at_smax(self):
         for n, h, l in small_cases():
             idx = TdIndexer(n, h, l)
-            assert [list(row) for row in idx._table] == \
+            assert all(c[0] == 0 for c in idx._table), (n, h, l)
+            assert [counts_of(c) for c in idx._table] == \
                 [row[:idx.smax + 1] for row in full_table(n, h)], (n, h, l)
 
     @pytest.mark.parametrize(
@@ -98,7 +105,8 @@ class TestCounting:
         + [(24, 516, 2584), (24, 354, 1772)],
     )
     def test_last_rows_are_the_table_rows(self, n, h, smax):
-        assert _last_rows(n, h, smax) == _composition_table(n, h, smax)[n - 1:]
+        assert [list(row) for row in _last_rows(n, h, smax)] == \
+            [counts_of(c) for c in _composition_table(n, h, smax)[n - 1:]]
 
     def test_large_counts_are_exact_integers(self):
         big = TdIndexer(24, 43, 106).count
@@ -145,6 +153,8 @@ class TestRankUnrank:
             idx.unrank(idx.count)
         with pytest.raises(IndexError):
             idx.unrank(-1)
+        with pytest.raises(TypeError):
+            idx.unrank(2.5)
 
     def test_rank_rejects_foreign_points(self):
         idx = TdIndexer(4, 2, 2)
@@ -166,19 +176,38 @@ class TestRankUnrank:
         p = TdIndexer(6, 3, 4).unrank(5)
         assert TdIndexer(6, 3, 4).rank(p) == 5
 
+    def test_round_trips_retain_no_memory(self):
+        # The walk reads the shared table and caches nothing per indexer:
+        # a thousand round trips over the whole index range, after one that
+        # builds the table, leave under 64 KiB behind.
+        idx = build_spec("oslc", 5, 0.2).indexer
+        picks = [i * (idx.count - 1) // 999 for i in range(1000)]
+        assert idx.rank(idx.unrank(picks[-1])) == picks[-1]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in picks:
+                assert idx.rank(idx.unrank(i)) == i
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
+
 
 class DictCacheWalk:
     """Reference rank/unrank: the per-coordinate walk over cumulative block
-    rows kept in a dict keyed by (m, s), with bounds-checked table reads."""
+    rows kept in a dict keyed by (m, s), with bounds-checked reads of the
+    test's own ``full_table``."""
 
     def __init__(self, indexer):
         self.idx = indexer
+        self.table = full_table(indexer.n, indexer.h)
         self.cache = {}
 
     def _sub_count(self, m, s):
         if s < 0 or s > m * self.idx.h:
             return 0
-        return self.idx._table[m][s]
+        return self.table[m][s]
 
     def blocks(self, m, s):
         row = self.cache.get((m, s))
@@ -228,11 +257,6 @@ def test_rank_unrank_match_dict_cache_walk(kind, beta):
         got = idx.unrank(i)
         assert got.dtype == np.int64 and got.tolist() == want, i
         assert idx.rank(got) == ref.rank(want) == i
-    # every cached row is the reference row
-    for m, rows in enumerate(idx._cum_rows):
-        for s, row in enumerate(rows):
-            if row is not None:
-                assert row == ref.blocks(m, s), (m, s)
 
 
 class TestSelectionStats:
