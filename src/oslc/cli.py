@@ -161,6 +161,15 @@ def _resolve_float(args, config: dict, key: str, default: float) -> float:
     return float(_resolve(args, config, key, default, (int, float), "a number"))
 
 
+def _resolve_seed(args, config: dict) -> int:
+    """The ``seed`` of any subcommand, or ValueError unless it is an integer
+    of at least 0, which is all ``numpy.random.SeedSequence`` takes."""
+    seed = _resolve_int(args, config, "seed", 0)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _resolve_design(args, config: dict) -> tuple[str, int, float, int, int]:
     """Scheme, beta, alpha, seed and threads of a ``ser`` or ``indoor`` run."""
     scheme = _resolve(args, config, "scheme", None, what=f"one of {SCHEMES}")
@@ -170,7 +179,7 @@ def _resolve_design(args, config: dict) -> tuple[str, int, float, int, int]:
         scheme,
         _resolve_int(args, config, "beta", 5),
         _resolve_float(args, config, "alpha", 0.2),
-        _resolve_int(args, config, "seed", 0),
+        _resolve_seed(args, config),
         _resolve_int(args, config, "threads", 1),
     )
 
@@ -193,7 +202,7 @@ def _cmd_shaping(args, config, argv) -> int:
         if n not in _SHAPING_DIMS:
             raise ValueError(f"n must lie in 1..{_SHAPING_DIMS[-1]}, got {n}")
     alphas = _parse_float_axis(_resolve(args, config, "alpha", "0.2,0.3"))
-    seed = _resolve_int(args, config, "seed", 0)
+    seed = _resolve_seed(args, config)
     rows = []
     for n in dims:
         for alpha in alphas:
@@ -308,7 +317,7 @@ def _cmd_indoor(args, config, argv) -> int:
 def _cmd_verify(args, config, argv) -> int:
     started = time.perf_counter()
     out = _resolve_out(args, config, "verify.json")
-    seed = _resolve_int(args, config, "seed", 0)
+    seed = _resolve_seed(args, config)
     code = GOLAY
     if getattr(args, "corrupt_code", False):
         generator = GOLAY.generator.copy()

@@ -29,7 +29,7 @@ import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -73,6 +73,9 @@ XI_PLUS = np.array([5] + [1] * 23, dtype=np.int64)
 # d[0] (column): none for a = 0, else XI_PLUS, or ``lattices.XI`` where d[0]
 # is odd, whose first coordinate 4*d[0] - 3 is still nonnegative.
 _SHIFTS = np.array([[0 * XI, 0 * XI], [XI_PLUS, XI]])
+
+# Exact mean coordinate sum of 2*c over the Golay words c (oslc's code layer).
+_GOLAY_LAYER_MEAN = Fraction(2 * int(GOLAY.codebook.sum()), len(GOLAY.codebook))
 
 
 class DemapError(ValueError):
@@ -125,34 +128,6 @@ class AlphabetChoice:
     kappa: Fraction
     peak_unscaled: int
     avg_l1_unscaled: Fraction
-
-
-def _oslc_stats(sel: TdSelection, avg_code: Fraction) -> tuple[int, Fraction]:
-    """Peak coordinate and exact mean coordinate sum of the full mapped set.
-
-    A transmitted point is ``_coset_points(d, c, a)``, with d from the shaping
-    selection, c uniform over the code, and a a fair bit.  The first
-    coordinate peaks at 4*d[0] + 2 with a = 0, or at 4*d[0] + 7 with a = 1 and
-    d[0] even (with d[0] odd, a = 1 lowers it); the others peak at 4*d + 3.
-    The mean splits into the three independent layers, ``avg_code`` being the
-    code layer's mean sum of 2*c, and the coset layer's half the mean sum of
-    the ``_SHIFTS`` translation that d[0]'s parity picks.
-    """
-    peak = max(
-        4 * sel.max_first() + 2,
-        4 * sel.max_first(parity=0) + 7,
-        4 * sel.max_rest_coord + 3,
-    )
-    even_sum, odd_sum = (int(t) for t in _SHIFTS[1].sum(axis=1))
-    odd = sel.odd_first_count
-    avg_shift = Fraction(even_sum * (sel.m_s - odd) + odd_sum * odd, 2 * sel.m_s)
-    return peak, 4 * sel.mean_l1 + avg_code + avg_shift
-
-
-def _oslc_peak_floor(rest: int) -> int:
-    """Least peak ``_oslc_stats`` reports for a selection whose
-    max_rest_coord is at least ``rest``: that coordinate maps to 4*rest + 3."""
-    return 4 * rest + 3
 
 
 def _even_sum_count(n: int, h: int) -> int:
@@ -218,32 +193,48 @@ def determine_params(
 class ConstellationSpec(ABC):
     """Everything needed to map bits, sample, decode, and audit one design.
 
-    Each subclass is one design: it fixes ``kind``, ``d_min_unscaled`` and
-    ``kissing``, builds itself from (beta, alpha), and supplies ``draw`` and
-    ``decode`` for the simulator and ``_map`` / ``_demap`` behind
-    ``map_bits`` / ``demap_point``, which check their inputs first.
+    Each subclass is one design: it fixes ``kind``, ``d_min_unscaled``,
+    ``kissing`` and the layer sizes ``n``, ``code``, ``k_c`` and ``k_a``, and
+    supplies ``draw`` and ``decode`` for the simulator and ``_map`` /
+    ``_demap`` behind ``map_bits`` / ``demap_point``, which check their
+    inputs first.  A shaped design also gives ``build`` its rule for the
+    height scan, the ``stats`` and ``peak_floor`` of ``determine_params``.
     """
 
     kind: ClassVar[str]
     d_min_unscaled: ClassVar[float]
     kissing: ClassVar[int | None] = None
+    n: ClassVar[int] = 24                           # dimensions
+    code: ClassVar[BinaryBlockCode | None] = None   # code layer, if any
+    k_c: ClassVar[int] = 0                          # code bits per symbol
+    k_a: ClassVar[int] = 0                          # coset bits per symbol
+    _stats: ClassVar[Callable[[TdSelection], tuple[int, Fraction]]]
+    _peak_floor: ClassVar[Callable[[int], int]]
 
-    n: int
     beta: int                     # bits per dimension
     alpha: Fraction               # average-intensity target
     kappa: Fraction               # scaling gain applied to integer points
     peak_unscaled: int            # max coordinate over the integer point set
     avg_l1_unscaled: Fraction     # exact mean coordinate sum
     k_s: int = 0                  # shaping bits per symbol
-    k_c: int = 0                  # code bits per symbol
-    k_a: int = 0                  # coset bits per symbol
     td: TdParams | None = None    # shaping alphabet geometry (None for cubic)
-    code: BinaryBlockCode | None = None
 
     @classmethod
-    @abstractmethod
     def build(cls, beta: int, alpha) -> ConstellationSpec:
-        """The design at ``beta`` bits per dimension and intensity target ``alpha``."""
+        """The design at ``beta`` bits per dimension and intensity target
+        ``alpha``; the shaping index takes the bits no other layer does."""
+        beta, alpha = _check_beta(beta), _as_fraction(alpha)
+        k_s = cls.n * beta - cls.k_c - cls.k_a
+        choice = determine_params(cls.n, 1 << k_s, alpha, cls._stats, cls._peak_floor)
+        return cls(
+            beta=beta,
+            alpha=alpha,
+            kappa=choice.kappa,
+            peak_unscaled=choice.peak_unscaled,
+            avg_l1_unscaled=choice.avg_l1_unscaled,
+            k_s=k_s,
+            td=choice.params,
+        )
 
     @abstractmethod
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -320,31 +311,33 @@ class OslcSpec(ConstellationSpec):
     kind = "oslc"
     d_min_unscaled = LEECH_MIN_DIST
     kissing = LEECH_KISSING
+    code = GOLAY
+    k_c = code.k
+    k_a = 1
 
-    @classmethod
-    def build(cls, beta: int, alpha) -> OslcSpec:
-        beta, alpha = _check_beta(beta), _as_fraction(alpha)
-        n, code = 24, GOLAY
-        k_c, k_a = code.k, 1
-        k_s = n * beta - k_c - k_a
-        total_ones = sum(w * count for w, count in code.weight_enumerator().items())
-        avg_code = Fraction(2 * total_ones, 2 ** code.k)
-        choice = determine_params(
-            n, 1 << k_s, alpha, partial(_oslc_stats, avg_code=avg_code), _oslc_peak_floor
+    @staticmethod
+    def _stats(sel):
+        """Peak and exact mean coordinate sum of every ``_coset_points(d, c,
+        a)``, d from ``sel``, c from the code, a a fair bit.  The first
+        coordinate, 4*d[0] + 2*c[0] + _SHIFTS[a, d[0] & 1, 0], peaks over a
+        and the parity of d[0]; the others at ``_peak_floor``.  The mean
+        splits into the three layers, the coset layer's being that of the
+        translation a and d[0] pick.
+        """
+        peak = max(
+            4 * sel.max_first(parity=p) + 2 + int(_SHIFTS[a, p, 0]) for a in (0, 1) for p in (0, 1)
         )
-        return cls(
-            n=n,
-            beta=beta,
-            alpha=alpha,
-            kappa=choice.kappa,
-            peak_unscaled=choice.peak_unscaled,
-            avg_l1_unscaled=choice.avg_l1_unscaled,
-            k_s=k_s,
-            k_c=k_c,
-            k_a=k_a,
-            td=choice.params,
-            code=code,
-        )
+        peak = max(peak, OslcSpec._peak_floor(sel.max_rest_coord))
+        even_sum, odd_sum = (int(t) for t in _SHIFTS.sum(axis=(0, 2)))
+        odd = sel.odd_first_count
+        avg_shift = Fraction(even_sum * (sel.m_s - odd) + odd_sum * odd, 2 * sel.m_s)
+        return peak, 4 * sel.mean_l1 + _GOLAY_LAYER_MEAN + avg_shift
+
+    @staticmethod
+    def _peak_floor(rest):
+        """Coordinates 2..n peak at 4*d + 2*c plus the largest translation
+        entry there."""
+        return 4 * rest + 2 + int(_SHIFTS[..., 1:].max())
 
     def draw(self, rng, count):
         d = self.sampler.sample(rng, count)
@@ -388,24 +381,13 @@ class TccSpec(ConstellationSpec):
     d_min_unscaled = DN_MIN_DIST
     kissing = DN_KISSING
 
-    @classmethod
-    def build(cls, beta: int, alpha) -> TccSpec:
-        beta, alpha = _check_beta(beta), _as_fraction(alpha)
-        n = 24
-        k_s = n * beta
-        choice = determine_params(
-            n, 1 << k_s, alpha, lambda sel: (sel.max_coord, sel.mean_l1), lambda rest: rest
-        )
-        return cls(
-            n=n,
-            beta=beta,
-            alpha=alpha,
-            kappa=choice.kappa,
-            peak_unscaled=choice.peak_unscaled,
-            avg_l1_unscaled=choice.avg_l1_unscaled,
-            k_s=k_s,
-            td=choice.params,
-        )
+    @staticmethod
+    def _stats(sel):
+        return sel.max_coord, sel.mean_l1
+
+    @staticmethod
+    def _peak_floor(rest):
+        return rest
 
     def draw(self, rng, count):
         return self.sampler.sample(rng, count)
@@ -433,16 +415,14 @@ class CubicSpec(ConstellationSpec):
     @classmethod
     def build(cls, beta: int, alpha) -> CubicSpec:
         beta, alpha = _check_beta(beta), _as_fraction(alpha)
-        n = 24
         levels = (1 << beta) - 1
         delta = min(Fraction(1), 2 * alpha) / levels
         return cls(
-            n=n,
             beta=beta,
             alpha=alpha,
             kappa=delta,
             peak_unscaled=levels,
-            avg_l1_unscaled=Fraction(n * levels, 2),
+            avg_l1_unscaled=Fraction(cls.n * levels, 2),
         )
 
     def draw(self, rng, count):

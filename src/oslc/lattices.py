@@ -37,7 +37,6 @@ __all__ = [
     "closest_point_construction_a_batch",
     "bdd_half_lattice_batch",
     "decode_shifted_union_batch",
-    "in_dn",
     "in_construction_a",
     "in_half_lattice",
 ]
@@ -52,11 +51,6 @@ XI = np.array([-3] + [1] * 23, dtype=np.int64)
 def _integral(v: np.ndarray) -> bool:
     """Every entry of ``v`` is a finite integer."""
     return bool(np.all(np.isfinite(v)) and np.all(v == np.round(v)))
-
-
-def in_dn(x) -> bool:
-    v = np.asarray(x)
-    return _integral(v) and int(np.sum(v)) % 2 == 0
 
 
 def in_construction_a(x, code: BinaryBlockCode = GOLAY) -> bool:
@@ -163,14 +157,13 @@ def bdd_half_lattice_batch(w: np.ndarray, code: BinaryBlockCode = GOLAY) -> np.n
 def decode_shifted_union_batch(
     y: np.ndarray,
     cosets,
-    scale: int = 2,
     code: BinaryBlockCode = GOLAY,
 ):
-    """Minimum-distance decode over union_a (scale * H_n + a), batched.
+    """Minimum-distance decode over union_a (2 H_n + a), batched.
 
-    Each coset a contributes the candidate scale * bdd((y - a)/scale) + a;
-    the closest candidate wins (first-listed coset on exact ties).  With
-    cosets (0, XI) and scale 2 at n = 24 this is the Leech lattice decoder,
+    Each coset a contributes the candidate 2 * bdd((y - a)/2) + a; the
+    closest candidate wins (first-listed coset on exact ties).  With cosets
+    (0, XI) at n = 24 this is the Leech lattice decoder,
     bounded-distance optimal within radius 2*sqrt(2).  Returns
     (points (B, n) int64, distance_sq (B,), coset_index (B,)).
     """
@@ -182,8 +175,8 @@ def decode_shifted_union_batch(
     best_a = None
     for ai, a in enumerate(cosets):
         av = np.asarray(a, dtype=np.float64)
-        h = bdd_half_lattice_batch((y - av) / scale, code)
-        cand = scale * h + av.astype(np.int64)
+        h = bdd_half_lattice_batch((y - av) / 2, code)
+        cand = 2 * h + av.astype(np.int64)
         d = ((cand - y) ** 2).sum(axis=1)
         if best_pt is None:
             best_pt, best_d = cand, d

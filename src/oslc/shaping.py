@@ -37,7 +37,6 @@ __all__ = [
     "solve_mu_star",
     "h_max",
     "second_order_sg_db",
-    "quadrature_sg_db",
     "irwin_hall_tail",
     "ld_tail_approx",
     "kernel_k",
@@ -207,9 +206,12 @@ def solve_mu_star(alpha: float) -> float:
 
     Equivalently mu* = s_{1-alpha} (the defining map is 1 - K(mu)).
     Strictly decreasing in alpha: ~1/alpha for small alpha, -> 0 at 1/2.
-    Residual below 1e-12 across (0, 1/2).
+    Residual below 1e-12 across (0, 1/2).  Below alpha ~ 1.1e-16, 1 - alpha
+    rounds to 1, outside solve_s_x's domain, and a ValueError names alpha.
     """
     _check_alpha(alpha)
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha is too small: 1 - alpha rounds to 1 at alpha={alpha!r}")
     return solve_s_x(1.0 - alpha)
 
 
@@ -277,8 +279,10 @@ def second_order_sg_db(n: int, alpha: float) -> float:
 
     sg ~ (10/ln10) [ h_max(a) - ln 2a - ln(n)/(2n) + omega_a/n ],
     omega_a = 1 - (1/2) ln( 2π(-mu* + 2a·mu* + mu*^2·a(1-a)) ).
-    The omega argument has no positivity proof; a non-positive value raises
-    rather than silently flushing to NaN.
+    At the root mu*, the curvature term in the log is ld_dispersion(1 - a)^2
+    = 1 - ((mu*/2)/sinh(mu*/2))^2, which lies in (0, 1); it is evaluated in
+    that form, as the sum of -mu* + ... cancels in float64 at both ends of
+    (0, 1/2).
     """
     _check_dim(n)
     return _second_order_sg_db(n, alpha, solve_mu_star(alpha))
@@ -286,23 +290,33 @@ def second_order_sg_db(n: int, alpha: float) -> float:
 
 def _second_order_sg_db(n: int, alpha: float, mu: float) -> float:
     """``second_order_sg_db`` at a known mu* = solve_mu_star(alpha)."""
-    inner = -mu + 2.0 * alpha * mu + mu * mu * alpha * (1.0 - alpha)
-    if inner <= 0.0:
-        raise ValueError(
-            f"curvature term non-positive at alpha={alpha!r} (got {inner!r}); "
-            "second-order expansion undefined here"
-        )
-    omega = 1.0 - 0.5 * math.log(2.0 * math.pi * inner)
+    omega = 1.0 - 0.5 * math.log(2.0 * math.pi * _curvature(mu))
     return _DB * (
         _h_max(alpha, mu) - math.log(2.0 * alpha) - math.log(n) / (2.0 * n) + omega / n
     )
 
 
-def quadrature_sg_db(n_half: int, p: float) -> float:
-    """Shaping gain of the two-real-dimensions-per-use (quadrature) channel
-    with power ratio p: the real-channel expansion at 2*n_half dimensions
-    plus the fixed 10*log10(π/3) ~ 0.200 dB geometry credit."""
-    return 10.0 * math.log10(math.pi / 3.0) + second_order_sg_db(2 * n_half, p)
+def _curvature(s: float) -> float:
+    """1 - ((s/2)/sinh(s/2))^2 for s > 0: s^2 times the variance of the
+    uniform tilted by s, so D(x)^2 at s = s_x.
+
+    With y = s/2 it is (sinh y - y)(sinh y + y) / sinh(y)^2.  Below y = 2,
+    sinh y - y is summed from its series, whose terms y^(2k+1)/(2k+1)! are
+    all positive, so nothing cancels as s -> 0; above, the ratio is taken
+    through e^-y, which stays finite as s grows.
+    """
+    y = 0.5 * s
+    if y < 2.0:
+        term = excess = y**3 / 6.0
+        k = 1
+        while term > 1e-17 * excess:
+            k += 1
+            term *= y * y / ((2 * k) * (2 * k + 1))
+            excess += term
+        sinh = y + excess
+        return excess * (sinh + y) / (sinh * sinh)
+    ratio = 2.0 * y * math.exp(-y) / -math.expm1(-2.0 * y)
+    return 1.0 - ratio * ratio
 
 
 def irwin_hall_tail(n: int, x: float) -> float:
@@ -335,13 +349,10 @@ def ld_rate(x: float) -> float:
 def ld_dispersion(x: float) -> float:
     """Curvature factor D(x) = sqrt(1 - s^2 e^s / (e^s - 1)^2) at s = s_x.
 
-    Evaluated as 1 - s^2 e^{-s}/(1 - e^{-s})^2, which stays finite for
-    large s.  Tends to 0 as x -> 1/2 and to 1 as x -> 1.
+    Evaluated through ``_curvature``, which stays accurate as s -> 0 and
+    finite for large s.  Tends to 0 as x -> 1/2 and to 1 as x -> 1.
     """
-    s = solve_s_x(x)
-    em = math.exp(-s)
-    ratio = s * s * em / (1.0 - em) ** 2
-    return math.sqrt(max(1.0 - ratio, 0.0))
+    return math.sqrt(_curvature(solve_s_x(x)))
 
 
 def ld_tail_approx(n: int, x: float) -> float:

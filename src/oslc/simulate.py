@@ -82,15 +82,15 @@ def cubic_ser_formula(spec: ConstellationSpec, osnr_db):
     return 1.0 - (1.0 - p_dim) ** spec.n
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%) for a binomial proportion."""
     if trials <= 0:
         raise ValueError("need at least one trial")
     p = errors / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = (_Z95 / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == trials else min(1.0, center + half)
     return lo, hi
@@ -189,6 +189,20 @@ def _worker_pool(spec: ConstellationSpec, threads: int, batch_size: int):
         yield pool, 2 * threads
 
 
+# Operating points simulate_ser accepts, in dB.  Far below, the decoders cast
+# overflowing floats to int64 (near -170 dB); far above, the union bound
+# overflows (near 3,100 dB).
+_OSNR_DB = (-100.0, 300.0)
+
+
+def _check_osnr_db(osnr_db: float) -> None:
+    """ValueError unless ``osnr_db`` lies in _OSNR_DB (so NaN fails too)."""
+    if not _OSNR_DB[0] <= osnr_db <= _OSNR_DB[1]:
+        raise ValueError(
+            f"osnr_db must lie in [{_OSNR_DB[0]}, {_OSNR_DB[1]}] dB, got {osnr_db}"
+        )
+
+
 def simulate_ser(
     spec: ConstellationSpec,
     osnr_db: float,
@@ -200,7 +214,8 @@ def simulate_ser(
     threads: int = 1,
     workers: tuple[Executor | None, int] | None = None,
 ) -> SerRecord:
-    """Estimate the symbol error rate at one operating point.
+    """Estimate the symbol error rate at one operating point, ``osnr_db``
+    in _OSNR_DB (else ValueError).
 
     Runs batches until the committed error count reaches target_errors (if
     set) or the committed trial count reaches max_trials.  The committed
@@ -213,8 +228,7 @@ def simulate_ser(
     points.  Batches still in flight when this point stops are dropped, so
     they never count towards the next point.
     """
-    if not math.isfinite(osnr_db):
-        raise ValueError(f"osnr_db must be finite, got {osnr_db}")
+    _check_osnr_db(osnr_db)
     if target_errors is not None and target_errors < 1:
         raise ValueError("target_errors must be positive (or None)")
     if max_trials < 1:
@@ -267,13 +281,16 @@ def ser_sweep(
     batch_size: int = 4096,
     threads: int = 1,
 ) -> list[SerRecord]:
-    """simulate_ser over a grid, with per-point seeds derived from ``seed``.
+    """simulate_ser over a grid, with per-point seeds derived from ``seed``;
+    every point is checked before the first runs.
 
     SER should fall as OSNR rises; a rise between consecutive grid points
     whose confidence intervals do not even overlap is reported as a warning
     (never an error, since the estimates are noisy by nature).
     """
     grid = [float(v) for v in np.atleast_1d(np.asarray(osnr_grid, dtype=np.float64))]
+    for osnr in grid:
+        _check_osnr_db(osnr)
     child_seeds = np.random.SeedSequence(seed).generate_state(len(grid), np.uint64)
     with _worker_pool(spec, threads, batch_size) as workers:
         records = [

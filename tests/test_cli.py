@@ -66,6 +66,16 @@ class TestShapingCommand:
         rows = read_rows(out)
         assert [(r["n"], r["alpha"]) for r in rows] == [("8", "0.25"), ("24", "0.25")]
 
+    def test_small_alpha(self, tmp_path, capsys):
+        # The curvature term read -0.058 here and the run exited 2.
+        out = tmp_path / "small.csv"
+        assert main(["shaping", "--n", "24", "--alpha", "1e-8", "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert float(row["sg_db_approx"]) == shaping.second_order_sg_db(24, 1e-8)
+        # below ~1.1e-16, 1 - alpha rounds to 1
+        assert main(["shaping", "--n", "24", "--alpha", "1e-17", "--out", str(out)]) == 2
+        assert "alpha" in capsys.readouterr().err
+
 
 class TestSerCommand:
     def run_sweep(self, out, extra=()):
@@ -379,6 +389,30 @@ class TestUsageErrors:
                 "--out", str(tmp_path / "x.csv")]
         assert "beta must be an integer in 1..8" in assert_usage_error(argv, tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("argv", [
+        ["shaping", "--n", "2"],
+        ["verify"],
+        ["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "14", "--max-trials", "64"],
+        ["indoor", "--scheme", "cubic", "--beta", "2", "--positions", "1",
+         "--trials-per-pos", "10", "--grid-step", "1.0"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "oslc: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("osnr", ["-1000", "-100.5", "300.5", "1e308"])
+    def test_osnr_out_of_range_exits_2(self, tmp_path, capsys, osnr):
+        # far outside the range the decoders cast overflowing floats to int64
+        # (about -170 dB) or the union bound overflows (about 3,100 dB), with
+        # only a RuntimeWarning and a row written
+        out = tmp_path / "ser.csv"
+        argv = ["ser", "--scheme", "tcc", "--beta", "2", "--osnr", osnr, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("oslc: osnr_db must lie in [-100.0, 300.0] dB")
+        assert not out.exists()
+
 
 def assert_usage_error(argv, out):
     """Run ``oslc argv`` in a separate process with a timeout, so a loop that
@@ -471,6 +505,12 @@ class TestConfigFile:
         ("shaping", "n", 24, "a string"),
         ("shaping", "alpha", 0.25, "a string"),
         ("verify", "out", None, "a string"),
+        # numpy's SeedSequence would reject these without naming the key,
+        # and shaping, which draws nothing, would record them
+        ("ser", "seed", -3, "a non-negative integer"),
+        ("indoor", "seed", -5, "a non-negative integer"),
+        ("shaping", "seed", -1, "a non-negative integer"),
+        ("verify", "seed", -1, "a non-negative integer"),
     ])
     def test_mistyped_option_exits_2(self, tmp_path, capsys, command, key, value, what):
         # float() fails on null with a TypeError, and an axis or path that is

@@ -493,7 +493,7 @@ class TestDispatchAndExport:
         for n in (1, 2, 24):
             for m_s in (0, 1):
                 with pytest.raises(ValueError):
-                    con.determine_params(n, m_s, 0.2, _tcc_stats, _tcc_floor)
+                    con.determine_params(n, m_s, 0.2, con.TccSpec._stats, con.TccSpec._peak_floor)
 
     @pytest.mark.parametrize("beta", [0, -1, 9, 2.0, True, "3"])
     @pytest.mark.parametrize("kind", con.SCHEMES)
@@ -533,21 +533,7 @@ def reference_determine_params(n, m_s, alpha, visited):
     return best
 
 
-def _tcc_stats(sel):
-    return sel.max_coord, sel.mean_l1
-
-
-def _tcc_floor(rest):
-    return rest
-
-
-_GOLAY_LAYER_MEAN = Fraction(
-    2 * sum(w * c for w, c in GOLAY.weight_enumerator().items()), 1 << GOLAY.k
-)
-
-
-def _oslc_stats(sel):
-    return con._oslc_stats(sel, avg_code=_GOLAY_LAYER_MEAN)
+_DESIGNS = {"tcc": con.TccSpec, "oslc": con.OslcSpec}
 
 
 _SCAN_ALPHAS = (Fraction(1, 20), Fraction(1, 5), Fraction(3, 10), Fraction(9, 20), Fraction(49, 100))
@@ -575,12 +561,11 @@ class TestHeightScan:
         # later indexer at the previous boundary shell and stops by its two
         # rules; it must pick the same alphabet as the scan that visits every
         # height until the box no longer binds.
-        stats, floor = (_tcc_stats, _tcc_floor) if design == "tcc" else \
-            (_oslc_stats, con._oslc_peak_floor)
+        cls = _DESIGNS[design]
         for m_s in _scan_sizes(n):
-            visited = reference_scan(n, m_s, stats)
+            visited = reference_scan(n, m_s, cls._stats)
             for alpha in _SCAN_ALPHAS:
-                assert con.determine_params(n, m_s, alpha, stats, floor) == \
+                assert con.determine_params(n, m_s, alpha, cls._stats, cls._peak_floor) == \
                     reference_determine_params(n, m_s, alpha, visited), (m_s, alpha)
 
     def test_taller_boxes_reach_the_peak_floor(self, monkeypatch):
@@ -589,13 +574,14 @@ class TestHeightScan:
         # >= h + 1, hence peak(H') >= floor(h + 1).
         for n in (2, 5, 24):
             for m_s in _scan_sizes(n):
-                for stats, floor in ((_tcc_stats, _tcc_floor), (_oslc_stats, con._oslc_peak_floor)):
-                    visited = reference_scan(n, m_s, stats)
+                for cls in _DESIGNS.values():
+                    visited = reference_scan(n, m_s, cls._stats)
                     for i, (h, *_, s_star) in enumerate(visited):
                         if h >= s_star:
                             continue
                         for taller, peak, _, rest, _ in visited[i + 1:]:
-                            assert rest >= h + 1 and peak >= floor(h + 1), (n, m_s, h, taller)
+                            assert rest >= h + 1, (n, m_s, h, taller)
+                            assert peak >= cls._peak_floor(h + 1), (n, m_s, h, taller)
         heights = []
         indexer = con.TdIndexer
         monkeypatch.setattr(con, "TdIndexer", lambda *a: heights.append(a[1]) or indexer(*a))
@@ -614,3 +600,27 @@ class TestHeightScan:
         assert _composition_table.cache_info().misses == 0
         spec.sampler
         assert _composition_table.cache_info().misses == 1
+
+
+class TestDesignRules:
+    # Small selections at n = 24, enumerated point by point.  At m_s = 2 no
+    # d[0] is odd; at h >= 2, m_s = 300 ends the d[0] = 1 block of shell 2
+    # and 301 takes its one d[0] = 2; 2048 reaches into shell 4.
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("m_s", [2, 300, 301, 2048])
+    def test_rules_match_the_enumerated_point_sets(self, h, m_s):
+        sel = TdIndexer(24, h, 12 * h).selection(m_s)
+        d = np.array([sel.indexer.unrank(i) for i in range(m_s)])
+        assert sel.max_rest_coord == d[:, 1:].max()
+        want = {"tcc": (int(d.max()), Fraction(int(d.sum()), m_s))}
+        words = GOLAY.codebook.astype(np.int64)
+        peak = total = 0
+        for lo in range(0, m_s, 8):
+            for a in (0, 1):
+                pts = con._coset_points(d[lo:lo + 8, None, :], words, a)
+                peak = max(peak, int(pts.max()))
+                total += int(pts.sum())
+        want["oslc"] = (peak, Fraction(total, m_s * len(words) * 2))
+        for kind, cls in _DESIGNS.items():
+            assert cls._stats(sel) == want[kind], kind
+            assert cls._peak_floor(sel.max_rest_coord) <= want[kind][0], kind

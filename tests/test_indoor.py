@@ -261,6 +261,15 @@ class TestSurvey:
         assert s.ser == 1.0
         assert all(r.ser == 1.0 for r in s.records)
 
+    @pytest.mark.parametrize(("noise_scale", "osnr"), [(1e40, -167.9), (1e-70, 382.1)])
+    def test_osnr_outside_the_simulated_range(self, noise_scale, osnr):
+        # a finite position OSNR goes through simulate_ser's range check
+        quiet = RoomConfig(noise_scale=noise_scale)
+        assert link_budget(quiet, (0.0, 0.0), 0.2).osnr_db == pytest.approx(osnr, abs=0.1)
+        spec = con.build_tcc_spec(2, 0.2)
+        with pytest.raises(ValueError, match="osnr_db must lie in"):
+            indoor.survey_ser(quiet, spec, n_positions=3, trials_per_pos=10)
+
     def test_argument_validation(self, room):
         spec = con.build_cubic_spec(5, 0.2)
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from oslc.lattices import (
     closest_point_construction_a_batch,
     decode_shifted_union_batch,
     in_construction_a,
-    in_dn,
     in_half_lattice,
     nearest_point_dn_batch,
 )
@@ -246,17 +245,6 @@ class TestShiftedUnion:
         assert idx[0] == 1
         assert np.array_equal(pts[0], XI)
 
-    def test_scaling_equivariance(self):
-        rng = np.random.default_rng(89)
-        y = rng.normal(scale=4.0, size=(100, 24))
-        zero = np.zeros(24, dtype=np.int64)
-        base_pts, base_d2, base_idx = decode_shifted_union_batch(y, (zero, XI), scale=2)
-        c = 3
-        pts, d2, idx = decode_shifted_union_batch(c * y, (zero, c * XI), scale=2 * c)
-        assert np.array_equal(pts, c * base_pts)
-        np.testing.assert_allclose(d2, c**2 * base_d2, rtol=1e-12)
-        assert np.array_equal(idx, base_idx)
-
     def test_empty_coset_list_rejected(self):
         with pytest.raises(ValueError):
             decode_shifted_union_batch(np.zeros(24), ())
@@ -264,22 +252,15 @@ class TestShiftedUnion:
 
 class TestMembershipPredicates:
     def test_translation_vector_memberships(self):
-        assert in_dn(XI)
         assert in_construction_a(XI)
         assert in_half_lattice(XI)
-
-    def test_unit_vector_not_in_checkerboard(self):
-        e = np.zeros(4, dtype=np.int64)
-        e[0] = 1
-        assert not in_dn(e)
-        assert in_dn(2 * e)
 
     def test_odd_integer_layer_rejected_by_half_lattice(self):
         v = 2 * np.eye(24, dtype=np.int64)[0]  # in U_24, odd integer sum
         assert in_construction_a(v)
         assert not in_half_lattice(v)
 
-    @pytest.mark.parametrize("pred", [in_dn, in_construction_a, in_half_lattice])
+    @pytest.mark.parametrize("pred", [in_construction_a, in_half_lattice])
     @pytest.mark.parametrize("value", [0.5, np.nan, np.inf])
     def test_non_integral_vector_is_no_member(self, pred, value):
         # an int64 cast would read 0.5 as 0, the origin of every lattice

@@ -128,7 +128,7 @@ class TestSolveTStar:
             for alpha in (0.2, 0.3):
                 digest.update(repr(shaping.solve_t_star(n, alpha)).encode())
         assert digest.hexdigest() == (
-            "346d73a0047521a13392ebdc9736037720da98bb25eb796d04c137609e535737"
+            "e7c679c7117fd4bcd4e9b04b371d0b920974d722bc7ceccdfe1f0550385a6605"
         )
 
 
@@ -220,34 +220,61 @@ class TestSecondOrderGain:
             limit, abs=1e-6
         )
 
-    def test_formula_against_extended_precision(self):
-        n, alpha = 24, 0.3
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.2, 0.3, 0.45, 0.499])
+    def test_formula_against_extended_precision(self, alpha):
+        n = 24
         with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
             mu = mpmath.findroot(
-                lambda m: 1 / m - 1 / mpmath.expm1(m) - alpha, mpmath.mpf(2.7)
+                lambda m: 1 / m - 1 / mpmath.expm1(m) - a,
+                mpmath.mpf(shaping.solve_mu_star(alpha)),
             )
-            h = mpmath.log((1 - mpmath.e ** (-mu)) / mu) + mu * alpha
-            inner = -mu + 2 * alpha * mu + mu**2 * alpha * (1 - alpha)
+            h = mpmath.log((1 - mpmath.e ** (-mu)) / mu) + mu * a
+            inner = -mu + 2 * a * mu + mu**2 * a * (1 - a)
             omega = 1 - mpmath.log(2 * mpmath.pi * inner) / 2
             want = float(
                 (10 / mpmath.log(10))
-                * (h - mpmath.log(2 * alpha) - mpmath.log(n) / (2 * n) + omega / n)
+                * (h - mpmath.log(2 * a) - mpmath.log(n) / (2 * n) + omega / n)
             )
         assert shaping.second_order_sg_db(n, alpha) == pytest.approx(
             want, abs=1e-11
         )
 
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-8, 1e-4, 0.2, 0.45, 0.499])
+    def test_curvature_against_extended_precision(self, alpha):
+        # -mu + 2*alpha*mu + mu^2*alpha*(1 - alpha), the form this replaced,
+        # read -0.058 in float64 at alpha = 1e-8, where its value rounds to 1.
+        mu = shaping.solve_mu_star(alpha)
+        with mpmath.workdps(50):
+            half = mpmath.mpf(mu) / 2
+            want = float(1 - (half / mpmath.sinh(half)) ** 2)
+        assert shaping._curvature(mu) == pytest.approx(want, rel=1e-14)
+        assert shaping.ld_dispersion(1.0 - alpha) == pytest.approx(
+            math.sqrt(want), rel=1e-14
+        )
 
-class TestQuadratureGain:
-    def test_fixed_offset_constant(self):
-        assert 10 * math.log10(math.pi / 3) == pytest.approx(0.200, abs=1e-3)
+    def test_table_rows_against_extended_precision(self):
+        # The rows of test_table_matches_golden_digest: each second-order
+        # gain is within 1e-15 of its value at the exact mu*, which the
+        # cancelling form of the curvature term missed by up to 4.1e-15.
+        for alpha in (0.2, 0.3):
+            with mpmath.workdps(50):
+                a = mpmath.mpf(alpha)
+                mu = mpmath.findroot(
+                    lambda m: 1 / m - 1 / mpmath.expm1(m) - a,
+                    mpmath.mpf(shaping.solve_mu_star(alpha)),
+                )
+                limit = mpmath.log(-mpmath.expm1(-mu) / mu) + mu * a - mpmath.log(2 * a)
+                curvature = 1 - (mu / 2 / mpmath.sinh(mu / 2)) ** 2
+                omega = 1 - mpmath.log(2 * mpmath.pi * curvature) / 2
+                for n in range(2, 33):
+                    want = (10 / mpmath.log(10)) * (limit - mpmath.log(n) / (2 * n) + omega / n)
+                    got = shaping.solve_t_star(n, alpha).sg_db_approx
+                    assert abs(got - want) < 1e-15, (n, alpha)
 
-    def test_compositional(self):
-        want = 10 * math.log10(math.pi / 3) + shaping.second_order_sg_db(24, 0.3)
-        assert shaping.quadrature_sg_db(12, 0.3) == pytest.approx(want, abs=1e-13)
-
-    def test_small_power_large_blocklength_limit(self):
-        assert shaping.quadrature_sg_db(10**8, 1e-3) == pytest.approx(1.53, abs=0.02)
+    def test_alpha_where_one_minus_alpha_rounds_to_one(self):
+        with pytest.raises(ValueError, match="alpha"):
+            shaping.second_order_sg_db(24, 1e-17)
 
 
 class TestIrwinHallTail:

@@ -205,6 +205,22 @@ class TestSimulateSer:
         with pytest.raises(ValueError, match="osnr_db"):
             sim.ser_sweep(cubic_b2, [osnr])
 
+    @pytest.mark.parametrize("osnr", [-1000.0, -100.5, 300.5, 3200.0, 1e308])
+    def test_rejects_osnr_outside_range(self, cubic_b2, osnr):
+        with pytest.raises(ValueError, match=r"osnr_db must lie in \[-100.0, 300.0\]"):
+            sim.simulate_ser(cubic_b2, osnr)
+        with pytest.raises(ValueError, match="osnr_db"):
+            sim.ser_sweep(cubic_b2, [20.0, osnr])
+
+    @pytest.mark.parametrize("kind", con.SCHEMES)
+    def test_range_ends_run_without_warnings(self, kind):
+        # The suite turns RuntimeWarning into an error: none may come from
+        # the decoders' casts or the union bound at either end.
+        spec = con.build_spec(kind, 2, 0.2)
+        for osnr, errors in ((-100.0, 256), (300.0, 0)):
+            rec = sim.simulate_ser(spec, osnr, target_errors=None, max_trials=256, batch_size=128)
+            assert (rec.trials, rec.errors) == (256, errors)
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_rejects_fewer_than_one_thread(self, cubic_b2, threads):
         with pytest.raises(ValueError, match="threads"):
