@@ -109,13 +109,11 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    out: Path, argv, config, seed, started: float, outputs
-) -> Path:
+def _write_manifest(args, argv, started: float, outputs) -> None:
     manifest = {
         "command_line": ["oslc", *argv],
-        "config": config,
-        "seed": seed,
+        "config": args.config,
+        "seed": args.seed,
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "outputs": [
@@ -123,26 +121,14 @@ def _write_manifest(
             for p in outputs
         ],
     }
-    path = out.with_name(out.stem + "_manifest.json")
+    path = args.out.with_name(args.out.stem + "_manifest.json")
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
-def _resolve(args, config: dict, key: str, default, kinds=str, what="a string"):
-    """The flag ``key``, else its config entry, else ``default``: an instance
-    of ``kinds`` other than a bool, or ValueError naming ``key``."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValueError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def _resolve_out(args, config: dict, default: str) -> Path:
+def _check_out(out: str) -> Path:
     """The ``out`` path, or ValueError if it names a directory or its
     directory is missing: checked before any work, not after it."""
-    out = Path(_resolve(args, config, "out", default))
+    out = Path(out)
     try:
         if out.is_dir():
             raise ValueError(f"out {str(out)!r} is a directory")
@@ -153,35 +139,18 @@ def _resolve_out(args, config: dict, default: str) -> Path:
     return out
 
 
-def _resolve_int(args, config: dict, key: str, default: int) -> int:
-    return _resolve(args, config, key, default, int, "an integer")
-
-
-def _resolve_float(args, config: dict, key: str, default: float) -> float:
-    return float(_resolve(args, config, key, default, (int, float), "a number"))
-
-
-def _resolve_seed(args, config: dict) -> int:
-    """The ``seed`` of any subcommand, or ValueError unless it is an integer
-    of at least 0, which is all ``numpy.random.SeedSequence`` takes."""
-    seed = _resolve_int(args, config, "seed", 0)
+def _check_seed(seed: int) -> None:
+    """ValueError unless ``seed`` is at least 0, which is all
+    ``numpy.random.SeedSequence`` takes."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
 
 
-def _resolve_design(args, config: dict) -> tuple[str, int, float, int, int]:
-    """Scheme, beta, alpha, seed and threads of a ``ser`` or ``indoor`` run."""
-    scheme = _resolve(args, config, "scheme", None, what=f"one of {SCHEMES}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return (
-        scheme,
-        _resolve_int(args, config, "beta", 5),
-        _resolve_float(args, config, "alpha", 0.2),
-        _resolve_seed(args, config),
-        _resolve_int(args, config, "threads", 1),
-    )
+def _spec(args):
+    """The design of a ``ser`` or ``indoor`` run; ``--scheme`` has no default."""
+    if args.scheme is None:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got None")
+    return build_spec(args.scheme, args.beta, args.alpha)
 
 
 def _room_from_config(config: dict) -> RoomConfig:
@@ -194,15 +163,12 @@ def _room_from_config(config: dict) -> RoomConfig:
         raise ValueError(f"bad room config: {exc}") from None
 
 
-def _cmd_shaping(args, config, argv) -> int:
-    started = time.perf_counter()
-    out = _resolve_out(args, config, "shaping.csv")
-    dims = _parse_int_axis(_resolve(args, config, "n", "2:32"))
+def _cmd_shaping(args) -> tuple[int, list[Path]]:
+    dims = _parse_int_axis(args.n)
     for n in dims:
         if n not in _SHAPING_DIMS:
             raise ValueError(f"n must lie in 1..{_SHAPING_DIMS[-1]}, got {n}")
-    alphas = _parse_float_axis(_resolve(args, config, "alpha", "0.2,0.3"))
-    seed = _resolve_seed(args, config)
+    alphas = _parse_float_axis(args.alpha)
     rows = []
     for n in dims:
         for alpha in alphas:
@@ -220,26 +186,22 @@ def _cmd_shaping(args, config, argv) -> int:
             )
     header = ("n", "alpha", "t_star", "t_star_approx",
               "sg_db", "sg_db_approx", "mu_star")
-    _write_csv(out, header, rows)
-    _write_manifest(out, argv, config, seed, started, [out])
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    _write_csv(args.out, header, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0, [args.out]
 
 
-def _cmd_ser(args, config, argv) -> int:
-    started = time.perf_counter()
-    out = _resolve_out(args, config, "ser.csv")
-    scheme, beta, alpha, seed, threads = _resolve_design(args, config)
-    grid = _parse_float_axis(_resolve(args, config, "osnr", "24:29:1"))
-    spec = build_spec(scheme, beta, alpha)
+def _cmd_ser(args) -> tuple[int, list[Path]]:
+    grid = _parse_float_axis(args.osnr)
+    spec = _spec(args)
     records = ser_sweep(
         spec,
         grid,
-        seed=seed,
-        target_errors=_resolve_int(args, config, "target_errors", 100),
-        max_trials=_resolve_int(args, config, "max_trials", 20_000_000),
-        batch_size=_resolve_int(args, config, "batch_size", 4096),
-        threads=threads,
+        seed=args.seed,
+        target_errors=args.target_errors,
+        max_trials=args.max_trials,
+        batch_size=args.batch_size,
+        threads=args.threads,
     )
     header = ("osnr_db", "trials", "errors", "ser", "ci95_low", "ci95_high",
               "scheme", "beta", "alpha", "seed", "ub")
@@ -251,39 +213,33 @@ def _cmd_ser(args, config, argv) -> int:
             _fmt(rec.ser),
             _fmt(rec.ci95_low),
             _fmt(rec.ci95_high),
-            scheme,
-            beta,
-            _fmt(alpha),
+            args.scheme,
+            args.beta,
+            _fmt(args.alpha),
             rec.seed,
             "" if rec.ub is None else _fmt(rec.ub),
         )
         for rec in records
     ]
-    _write_csv(out, header, rows)
-    _write_manifest(out, argv, config, seed, started, [out])
-    print(f"wrote {len(rows)} operating points to {out}")
-    return 0
+    _write_csv(args.out, header, rows)
+    print(f"wrote {len(rows)} operating points to {args.out}")
+    return 0, [args.out]
 
 
-def _cmd_indoor(args, config, argv) -> int:
-    started = time.perf_counter()
-    out = _resolve_out(args, config, "indoor.csv")
-    scheme, beta, alpha, seed, threads = _resolve_design(args, config)
-    positions = _resolve_int(args, config, "positions", 100)
-    trials = _resolve_int(args, config, "trials_per_pos", 10_000)
-    grid_step = _resolve_float(args, config, "grid_step", 0.25)
-    check_survey(positions, trials, threads)
-    room = _room_from_config(config)
-    spec = build_spec(scheme, beta, alpha)
+def _cmd_indoor(args) -> tuple[int, list[Path]]:
+    out = args.out
+    check_survey(args.positions, args.trials_per_pos, args.threads)
+    room = _room_from_config(args.config)
+    spec = _spec(args)
 
-    omap = osnr_map(room, grid_step, alpha)
+    omap = osnr_map(room, args.grid_step, args.alpha)
     survey = survey_ser(
         room,
         spec,
-        n_positions=positions,
-        trials_per_pos=trials,
-        seed=seed,
-        threads=threads,
+        n_positions=args.positions,
+        trials_per_pos=args.trials_per_pos,
+        seed=args.seed,
+        threads=args.threads,
     )
     # Written only now, so a failed survey leaves no partial heatmap behind.
     rows = [
@@ -293,43 +249,39 @@ def _cmd_indoor(args, config, argv) -> int:
     ]
     _write_csv(out, ("x", "y", "osnr_db"), rows)
     summary = {
-        "scheme": scheme,
-        "beta": beta,
-        "alpha": alpha,
-        "positions": positions,
-        "trials_per_position": trials,
+        "scheme": args.scheme,
+        "beta": args.beta,
+        "alpha": args.alpha,
+        "positions": args.positions,
+        "trials_per_position": args.trials_per_pos,
         "total_trials": survey.trials,
         "total_errors": survey.errors,
         "average_ser": survey.ser,
         "map_min_osnr_db": float(omap.osnr_db.min()),
         "map_max_osnr_db": float(omap.osnr_db.max()),
-        "seed": seed,
+        "seed": args.seed,
     }
     summary_path = out.with_name(out.stem + "_summary.json")
     summary_path.write_text(json.dumps(summary) + "\n", encoding="utf-8")
-    _write_manifest(out, argv, config, seed, started, [out, summary_path])
     print(f"wrote {len(rows)} heatmap cells to {out}")
-    print(f"average SER {survey.ser:.3e} over {positions} positions "
+    print(f"average SER {survey.ser:.3e} over {args.positions} positions "
           f"({summary_path})")
-    return 0
+    return 0, [out, summary_path]
 
 
-def _cmd_verify(args, config, argv) -> int:
-    started = time.perf_counter()
-    out = _resolve_out(args, config, "verify.json")
-    seed = _resolve_seed(args, config)
+def _cmd_verify(args) -> tuple[int, list[Path]]:
     code = GOLAY
-    if getattr(args, "corrupt_code", False):
+    if args.corrupt_code:
         generator = GOLAY.generator.copy()
         generator[0, 23] ^= 1
         code = BinaryBlockCode(generator, name="corrupted")
-    results = run_property_suite(code=code, seed=seed)
+    results = run_property_suite(code=code, seed=args.seed)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
     n_failed = sum(not r.passed for r in results)
     report = {
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "n_checks": len(results),
         "n_passed": len(results) - n_failed,
         "n_failed": n_failed,
@@ -338,27 +290,72 @@ def _cmd_verify(args, config, argv) -> int:
             for r in results
         ],
     }
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, argv, config, seed, started, [out])
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"{len(results)} checks, {report['n_passed']} passed, "
-          f"{n_failed} failed ({out})")
-    return 3 if n_failed else 0
+          f"{n_failed} failed ({args.out})")
+    return (3 if n_failed else 0), [args.out]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-    common.add_argument("--out", help="primary output path")
-    common.add_argument("--config",
-                        help="JSON file of option defaults (flags win)")
+def _common(out: str) -> tuple:
+    return ("seed", int, 0, "master RNG seed"), ("out", str, out, "primary output path")
 
-    # the design and worker options that ser and indoor share
-    design = argparse.ArgumentParser(add_help=False)
-    design.add_argument("--scheme", choices=SCHEMES)
-    design.add_argument("--beta", type=int, help="bits per dimension")
-    design.add_argument("--alpha", type=float, help="dimming ratio")
-    design.add_argument("--threads", type=int, help="worker processes (default 1)")
 
+# the design and worker options that ser and indoor share
+_DESIGN = (
+    ("scheme", SCHEMES, None, "constellation design (must be given)"),
+    ("beta", int, 5, "bits per dimension"),
+    ("alpha", float, 0.2, "dimming ratio"),
+    ("threads", int, 1, "worker processes"),
+)
+
+# Each subcommand's function, help and value-taking options, each declared
+# once as (key, kind, default, help): the parser is built from this table, and
+# a config entry is checked against it.  A key is the option's dest and config
+# key; a kind is int, float, str or a tuple of choices.
+_COMMANDS = {
+    "shaping": (_cmd_shaping, "tabulate truncation parameters and shaping gains to CSV", (
+        *_common("shaping.csv"),
+        ("n", str, "2:32", "dimensions, e.g. 8,16,24 or 2:64:2"),
+        ("alpha", str, "0.2,0.3", "dimming ratios, e.g. 0.25 or 0.1:0.4:0.1"),
+    )),
+    "ser": (_cmd_ser, "Monte Carlo symbol error rates over an OSNR grid", (
+        *_common("ser.csv"),
+        *_DESIGN,
+        ("osnr", str, "24:29:1", "grid in dB, e.g. 24:29:0.5 or 25,26"),
+        ("target_errors", int, 100, "errors at which a point stops"),
+        ("max_trials", int, 20_000_000, "trials at which a point stops"),
+        ("batch_size", int, 4096, "trials per batch"),
+    )),
+    "indoor": (_cmd_indoor, "room OSNR heatmap and position-averaged error survey", (
+        *_common("indoor.csv"),
+        *_DESIGN,
+        ("positions", int, 100, "random receiver positions"),
+        ("trials_per_pos", int, 10_000, "symbols per position"),
+        ("grid_step", float, 0.25, "heatmap spacing in meters"),
+    )),
+    "verify": (_cmd_verify, "run the property suite and write a JSON report",
+               _common("verify.json")),
+}
+
+# What a config entry of each kind must be; a bool is never a number.
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _config_value(key: str, kind, value):
+    """The config entry ``key`` as the default of an option of ``kind``, or
+    ValueError naming ``key``."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{key} must be one of {kind}, got {value!r}")
+        return value
+    types, what = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and, by name, its subcommand parsers."""
     parser = argparse.ArgumentParser(
         prog="oslc",
         description="Shaped lattice constellations for intensity channels: "
@@ -368,66 +365,61 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_shaping = sub.add_parser(
-        "shaping", parents=[common],
-        help="tabulate truncation parameters and shaping gains to CSV")
-    p_shaping.add_argument("--n", help="dimensions, e.g. 2:32 or 8,16,24")
-    p_shaping.add_argument("--alpha", help="dimming ratios, e.g. 0.2,0.3")
-    p_shaping.set_defaults(func=_cmd_shaping)
-
-    p_ser = sub.add_parser(
-        "ser", parents=[common, design],
-        help="Monte Carlo symbol error rates over an OSNR grid")
-    p_ser.add_argument("--osnr", help="grid in dB, e.g. 24:29:0.5 or 25,26")
-    p_ser.add_argument("--target-errors", type=int, dest="target_errors")
-    p_ser.add_argument("--max-trials", type=int, dest="max_trials")
-    p_ser.add_argument("--batch-size", type=int, dest="batch_size")
-    p_ser.set_defaults(func=_cmd_ser)
-
-    p_indoor = sub.add_parser(
-        "indoor", parents=[common, design],
-        help="room OSNR heatmap and position-averaged error survey")
-    p_indoor.add_argument("--positions", type=int,
-                          help="random receiver positions (default 100)")
-    p_indoor.add_argument("--trials-per-pos", type=int, dest="trials_per_pos",
-                          help="symbols per position (default 10000)")
-    p_indoor.add_argument("--grid-step", type=float, dest="grid_step",
-                          help="heatmap spacing in meters (default 0.25)")
-    p_indoor.set_defaults(func=_cmd_indoor)
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common],
-        help="run the property suite and write a JSON report")
-    p_verify.add_argument("--corrupt-code", action="store_true",
-                          dest="corrupt_code",
-                          help="inject a flipped generator bit to "
-                               "demonstrate a failing gate")
-    p_verify.set_defaults(func=_cmd_verify)
-    return parser
+    commands = {}
+    for name, (func, text, options) in _COMMANDS.items():
+        command = commands[name] = sub.add_parser(
+            name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for key, kind, default, help_text in options:
+            command.add_argument(
+                "--" + key.replace("_", "-"), default=default, help=help_text,
+                **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
+        command.add_argument("--config", help="JSON file of option defaults (flags win)")
+        command.set_defaults(func=func)
+    commands["verify"].add_argument(
+        "--corrupt-code", action="store_true",
+        help="inject a flipped generator bit to demonstrate a failing gate")
+    return parser, commands
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The options of ``argv``, with ``args.config`` the --config object ({}
+    without one).  Its entries for the subcommand's options are checked
+    against their kinds and become their defaults, so a flag still wins."""
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     config = {}
-    if args.config:
+    if args.config is not None:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"oslc: cannot read config {args.config}: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(config, dict):
-            print("oslc: config must be a JSON object", file=sys.stderr)
-            return 2
+            raise ValueError("config must be a JSON object")
+        commands[args.command].set_defaults(**{
+            key: _config_value(key, kind, config[key])
+            for key, kind, _, _ in _COMMANDS[args.command][2]
+            if key in config
+        })
+        args = parser.parse_args(argv)
+    args.config = config
+    return args
+
+
+def main(argv=None) -> int:
+    """Run one subcommand: check its output path and seed before any work,
+    then write its manifest from the outputs it returns."""
+    started = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.func(args, config, list(argv))
+        args = _parse(argv)
+        args.out = _check_out(args.out)
+        _check_seed(args.seed)
+        code, outputs = args.func(args)
     except ValueError as exc:
         print(f"oslc: {exc}", file=sys.stderr)
         return 2
+    _write_manifest(args, argv, started, outputs)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from numbers import Integral
 import numpy as np
 
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, _check_threads, _worker_pool, simulate_ser
+from .simulate import SerRecord, _check_run, _check_threads, _worker_pool, simulate_ser
 
 __all__ = [
     "LinkBudget",
@@ -307,6 +307,7 @@ def survey_ser(
     ``threads`` > 1 every position runs in one shared worker pool.
     """
     check_survey(n_positions, trials_per_pos, threads)
+    _check_run(None, trials_per_pos, batch_size, threads)
     root = np.random.SeedSequence(seed)
     pos_rng = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
     half = room.sample_halfwidth
@@ -316,7 +317,7 @@ def survey_ser(
     records = []
     osnrs = np.empty(n_positions)
     total_trials = total_errors = 0
-    with _worker_pool(spec, threads, batch_size) as workers:
+    with _worker_pool(spec, threads) as workers:
         for i in range(n_positions):
             budget = link_budget(room, positions[i], float(spec.alpha))
             osnrs[i] = budget.osnr_db

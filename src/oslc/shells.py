@@ -19,12 +19,12 @@ it, and the alphabets in use have smax far below n*H.
 Cardinalities and selection statistics read only rows n - 1 and n, which
 ``_last_rows`` builds in closed form, so the box-height scan of
 ``constellations.determine_params`` builds no full table.  Rank, unrank
-and the sampler read one table per (n, H, smax), ``_composition_table``,
-built on first use and shared by every indexer of that size.  It holds
-prefix rows C[m][s] = N[m][0] + ... + N[m][s-1], so the points of a sum-s
-shell whose current coordinate is at most v number C[m][s+1] - C[m][s-v]:
-rank adds one such difference per coordinate, and unrank finds each
-coordinate with one bisection of a row.  No per-indexer cache is kept.
+and the sampler read one table, ``_composition_table``, which an indexer
+builds on first use and keeps.  It holds prefix rows
+C[m][s] = N[m][0] + ... + N[m][s-1], so the points of a sum-s shell whose
+current coordinate is at most v number C[m][s+1] - C[m][s-v]: rank adds one
+such difference per coordinate, and unrank finds each coordinate with one
+bisection of a row.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, repeat
 from math import comb
 from operator import add, index as as_index, mul, sub
@@ -72,7 +72,6 @@ def _window_step(pre: list[int] | tuple[int, ...], h: int, smax: int) -> tuple[i
     return tuple(pre[:h + 1]) + tuple(map(sub, pre[h + 1:], pre[:smax - h]))
 
 
-@lru_cache(maxsize=64)
 def _composition_table(n: int, h: int, smax: int) -> tuple[tuple[int, ...], ...]:
     """Prefix table C[m][s], m = 0..n, s = 0..smax + 1: number of vectors in
     {0..h}^m with sum below s, so N[m][s] = C[m][s+1] - C[m][s].  Row m is

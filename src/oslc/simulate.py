@@ -9,12 +9,13 @@ for any worker count.  Stopping (enough errors or the trial cap) is evaluated
 on the committed prefix only.
 
 One loop runs the batches of a point: it keeps at most ``window`` batches
-past the commit point and commits by waiting on the oldest.  ``_worker_pool``
-checks the worker knobs and yields ``(pool, window)``: ``(None, 1)`` at one
-worker, where each batch runs inline, and otherwise one process pool and a
-window of 2 * threads.  A sweep or survey opens it once for all of its
-operating points; each worker receives the spec once, when it starts, and a
-task is only (sigma, seed, batch_index, count).
+past the commit point and commits by waiting on the oldest.  ``_check_run``
+checks the run budget, and ``_worker_pool`` yields ``(pool, window)``:
+``(None, 1)`` at one worker, where each batch runs inline, and otherwise one
+process pool and a window of 2 * threads.  A sweep or survey checks its
+budget and then opens the pool once for all of its operating points; each
+worker receives the spec once, when it starts, and a task is only
+(sigma, seed, batch_index, count).
 """
 
 from __future__ import annotations
@@ -166,19 +167,27 @@ def _check_threads(threads: int) -> None:
         raise ValueError("threads must be at least 1")
 
 
-@contextmanager
-def _worker_pool(spec: ConstellationSpec, threads: int, batch_size: int):
-    """Yield ``(pool, window)`` for any number of operating points of ``spec``.
-
-    Rejects a batch size outside 1.._MAX_BATCH_SIZE or a worker count below 1
-    with ``ValueError`` and caps ``threads`` at the CPUs this process may run
-    on.  At one worker the pool is None and the window 1; otherwise each of
-    ``threads`` worker processes receives ``spec`` once, through the pool
-    initializer, and the window is ``2 * threads`` batches.
-    """
+def _check_run(target_errors: int | None, max_trials: int, batch_size: int, threads: int) -> None:
+    """ValueError unless the run budget is one a point can spend: an error
+    target of None or at least 1, at least one trial, a batch size in
+    1.._MAX_BATCH_SIZE and at least one worker.  Run before any pool opens."""
+    if target_errors is not None and target_errors < 1:
+        raise ValueError("target_errors must be positive (or None)")
+    if max_trials < 1:
+        raise ValueError("max_trials must be positive")
     if not 1 <= batch_size <= _MAX_BATCH_SIZE:
         raise ValueError(f"batch_size must be in 1..{_MAX_BATCH_SIZE}, got {batch_size}")
     _check_threads(threads)
+
+
+@contextmanager
+def _worker_pool(spec: ConstellationSpec, threads: int):
+    """Yield ``(pool, window)`` for any number of operating points of ``spec``,
+    with ``threads`` at least 1 (see ``_check_run``) and capped at the CPUs
+    this process may run on.  At one worker the pool is None and the window
+    1; otherwise each of ``threads`` worker processes receives ``spec`` once,
+    through the pool initializer, and the window is ``2 * threads`` batches.
+    """
     threads = min(threads, len(os.sched_getaffinity(0)))
     if threads == 1:
         yield None, 1
@@ -215,7 +224,8 @@ def simulate_ser(
     workers: tuple[Executor | None, int] | None = None,
 ) -> SerRecord:
     """Estimate the symbol error rate at one operating point, ``osnr_db``
-    in _OSNR_DB (else ValueError).
+    in _OSNR_DB, with a run budget that passes ``_check_run`` (else
+    ValueError).
 
     Runs batches until the committed error count reaches target_errors (if
     set) or the committed trial count reaches max_trials.  The committed
@@ -223,23 +233,18 @@ def simulate_ser(
     which is capped at the number of CPUs this process may run on.
 
     ``workers``, if given, is a ``(pool, window)`` from
-    ``_worker_pool(spec, threads, batch_size)`` used in place of one of this
+    ``_worker_pool(spec, threads)`` used in place of one of this
     call's own: ``ser_sweep`` and ``survey_ser`` open one for all their
     points.  Batches still in flight when this point stops are dropped, so
     they never count towards the next point.
     """
     _check_osnr_db(osnr_db)
-    if target_errors is not None and target_errors < 1:
-        raise ValueError("target_errors must be positive (or None)")
-    if max_trials < 1:
-        raise ValueError("max_trials must be positive")
+    _check_run(target_errors, max_trials, batch_size, threads)
     sigma = float(osnr_to_sigma(osnr_db))
 
     trials = errors = submitted = 0
     ahead = deque()  # (count, error count or its future) past the commit point
-    scope = (
-        _worker_pool(spec, threads, batch_size) if workers is None else nullcontext(workers)
-    )
+    scope = _worker_pool(spec, threads) if workers is None else nullcontext(workers)
     with scope as (pool, window):
         while trials < max_trials and (target_errors is None or errors < target_errors):
             while len(ahead) < window and submitted * batch_size < max_trials:
@@ -282,7 +287,7 @@ def ser_sweep(
     threads: int = 1,
 ) -> list[SerRecord]:
     """simulate_ser over a grid, with per-point seeds derived from ``seed``;
-    every point is checked before the first runs.
+    every point and the run budget are checked before the first runs.
 
     SER should fall as OSNR rises; a rise between consecutive grid points
     whose confidence intervals do not even overlap is reported as a warning
@@ -291,8 +296,9 @@ def ser_sweep(
     grid = [float(v) for v in np.atleast_1d(np.asarray(osnr_grid, dtype=np.float64))]
     for osnr in grid:
         _check_osnr_db(osnr)
+    _check_run(target_errors, max_trials, batch_size, threads)
     child_seeds = np.random.SeedSequence(seed).generate_state(len(grid), np.uint64)
-    with _worker_pool(spec, threads, batch_size) as workers:
+    with _worker_pool(spec, threads) as workers:
         records = [
             simulate_ser(
                 spec,

@@ -539,3 +539,61 @@ class TestConfigFile:
         assert main(argv) == 0
         summary = json.loads((tmp_path / "indoor_summary.json").read_text())
         assert summary["average_ser"] == 1.0
+
+
+# Every value-taking option of every subcommand, from the table the parser is
+# built from: (command, key, kind, default, help).
+OPTIONS = [
+    (command, *option)
+    for command, (_, _, options) in cli._COMMANDS.items()
+    for option in options
+]
+# A wrong JSON kind and a valid (config, flag) pair of values for each kind.
+WRONG = {int: (2.5, True), float: ("0.5", False), str: (5, None), cli.SCHEMES: ("nope", None)}
+VALID = {int: (3, "4"), float: (0.5, "0.25"), str: ("a", "b"),
+         cli.SCHEMES: cli.SCHEMES[:2]}
+
+
+def option_id(option):
+    return f"{option[0]}-{option[1]}"
+
+
+class TestOneDeclaration:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_table_lists_every_value_taking_option(self, command):
+        # the config check covers what the parser takes
+        args = cli._parse([command])
+        flags = {"func", "command", "config", "corrupt_code"}
+        assert set(vars(args)) - flags == {o[1] for o in OPTIONS if o[0] == command}
+
+    @pytest.mark.parametrize("option", OPTIONS, ids=option_id)
+    def test_config_of_the_wrong_kind_exits_2(self, tmp_path, capsys, option):
+        command, key, kind, _, _ = option
+        out = tmp_path / "out.csv"
+        for value in WRONG[kind]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"oslc: {key} must be "), value
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", OPTIONS, ids=option_id)
+    def test_flag_wins_over_config(self, tmp_path, option):
+        command, key, kind, _, _ = option
+        in_config, flag = VALID[kind]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: in_config}), encoding="utf-8")
+        assert getattr(cli._parse([command, "--config", str(cfg)]), key) == in_config
+        flag_argv = ["--" + key.replace("_", "-"), flag]
+        args = cli._parse([command, "--config", str(cfg), *flag_argv])
+        assert getattr(args, key) == (flag if isinstance(kind, tuple) else kind(flag))
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_shows_every_default(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for cmd, _, _, default, help_text in OPTIONS:
+            if cmd == command:
+                assert f"{help_text} (default: {default})" in text

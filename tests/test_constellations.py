@@ -11,9 +11,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oslc import constellations as con
+from oslc import shells
 from oslc.codes import GOLAY
 from oslc.lattices import XI, bdd_half_lattice_batch, in_half_lattice
-from oslc.shells import TdIndexer, TdParams, _composition_table
+from oslc.shells import TdIndexer, TdParams
 
 
 def random_words(rng, spec, count):
@@ -76,12 +77,6 @@ class TestOslcBuild:
         s = con.build_oslc_spec(1, 0.3)
         assert s.k_s == 11
         assert s.size == 2**24
-
-    def test_constraints_hold_exactly(self, oslc_b4):
-        s = oslc_b4
-        kappa = s.kappa
-        assert kappa * s.peak_unscaled <= 1
-        assert kappa * s.avg_l1_unscaled / 24 <= Fraction(1, 5)
 
     @pytest.mark.parametrize("beta", [2, 5])
     def test_average_constraint_binds_at_alpha_02(self, beta):
@@ -150,11 +145,6 @@ class TestTccBuild:
     def test_zero_index_maps_to_origin(self, tcc_b2):
         lam = con.map_bits(tcc_b2, np.zeros(48, dtype=np.int64))
         assert not lam.any()
-
-    def test_constraints_hold_exactly(self, tcc_b2):
-        kappa = tcc_b2.kappa
-        assert kappa * tcc_b2.peak_unscaled <= 1
-        assert kappa * tcc_b2.avg_l1_unscaled / 24 <= Fraction(1, 5)
 
     def test_peak_binds_in_degenerate_regime(self):
         s = con.build_tcc_spec(2, 0.49)
@@ -436,25 +426,6 @@ class TestMinimumDistance:
         assert best >= 32.0 - 1e-6
 
 
-class TestCodeUniformity:
-    def test_average_l1_matches_closed_form(self, oslc_b2):
-        rng = np.random.default_rng(19)
-        count = 10**5
-        words = random_words(rng, oslc_b2, count)
-        total = 0
-        sq_total = 0
-        for w in words[:20000]:
-            s = int(con.map_bits(oslc_b2, w).sum())
-            total += s
-            sq_total += s * s
-        m = 20000
-        mean = total / m
-        var = sq_total / m - mean**2
-        sigma = math.sqrt(var / m)
-        want = float(oslc_b2.avg_l1_unscaled)
-        assert abs(mean - want) < 3 * sigma
-
-
 @pytest.mark.parametrize("kind", con.SCHEMES)
 def test_simulator_draws_are_codebook_points(kind):
     spec = con.build_spec(kind, 2, 0.2)
@@ -592,14 +563,19 @@ class TestHeightScan:
             assert len(heights) == visits, (beta, alpha)
 
     @pytest.mark.parametrize("kind", ["oslc", "tcc"])
-    def test_only_the_sampler_builds_a_full_table(self, kind):
+    def test_only_the_sampler_builds_a_full_table(self, kind, monkeypatch):
         # The scan reads two closed-form rows per height; the one full
-        # composition table of a spec is built when its sampler is.
-        _composition_table.cache_clear()
+        # composition table of a spec is built when its sampler is, and
+        # rank and unrank read it from the spec's indexer.
+        built = []
+        table = shells._composition_table
+        monkeypatch.setattr(shells, "_composition_table", lambda *a: built.append(a) or table(*a))
         spec = con.build_spec(kind, 5, 0.2)
-        assert _composition_table.cache_info().misses == 0
+        assert built == []
         spec.sampler
-        assert _composition_table.cache_info().misses == 1
+        assert len(built) == 1
+        con.demap_point(spec, con.map_bits(spec, np.ones(spec.bits_per_symbol, dtype=np.uint8)))
+        assert len(built) == 1
 
 
 class TestDesignRules:

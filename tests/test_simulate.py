@@ -1,7 +1,11 @@
 """Tests for the Monte-Carlo link simulator and its analytic companions."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oslc
 from oslc import constellations as con
 from oslc import simulate as sim
 
@@ -194,6 +199,23 @@ class TestSimulateSer:
             with pytest.raises(ValueError, match="batch_size"):
                 sim.simulate_ser(cubic_b2, 20.0, batch_size=0, threads=threads)
 
+    @pytest.mark.parametrize("batch_size", [0, 65_537])
+    def test_shared_workers_check_the_batch_size(self, batch_size):
+        # A separate process with a timeout: given workers, a batch size of 0
+        # used to loop without advancing.
+        script = (
+            "from oslc.constellations import build_spec\n"
+            "from oslc.simulate import simulate_ser\n"
+            "simulate_ser(build_spec('cubic', 2, 0.3), 10.0, max_trials=100,\n"
+            f"             batch_size={batch_size}, workers=(None, 1))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(oslc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "ValueError: batch_size must be in 1..65536" in proc.stderr
+
     def test_rejects_zero_error_target(self, cubic_b2):
         with pytest.raises(ValueError, match="target_errors"):
             sim.simulate_ser(cubic_b2, 20.0, target_errors=0)
@@ -266,6 +288,14 @@ class TestSweep:
         )
         assert recs[-1].ser == 0.0
         assert recs[0].errors > 0
+
+    @pytest.mark.parametrize("budget", [
+        dict(max_trials=0), dict(target_errors=0), dict(batch_size=0), dict(threads=0),
+    ])
+    def test_run_budget_checked_before_the_pool_opens(self, cubic_b2, inline_pools, budget):
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            sim.ser_sweep(cubic_b2, [10.0], **{"threads": 2, **budget})
+        assert inline_pools == []
 
     def test_bitwise_identical_rerun(self, cubic_b4):
         grid = [20.0, 20.5, 21.0, 21.5, 22.0, 22.5]
