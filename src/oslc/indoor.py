@@ -18,7 +18,7 @@ from numbers import Integral
 import numpy as np
 
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, _check_run, _check_threads, _worker_pool, simulate_ser
+from .simulate import SerRecord, _check_run, _point_seeds, _run_points
 
 __all__ = [
     "LinkBudget",
@@ -32,6 +32,11 @@ __all__ = [
     "osnr_map",
     "survey_ser",
 ]
+
+
+# Emitter chips a room may hold: link_budget holds a few float64 arrays of
+# this length per receiver position.
+_MAX_CHIPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,16 @@ class RoomConfig:
     collapse_lamps: bool = False     # treat each lamp as one point source
 
     def __post_init__(self):
-        # Annotations are strings here (postponed evaluation).
+        # Annotations are strings here (postponed evaluation).  Every float
+        # field is a size, angle, current, gain or constant that must be positive.
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.type == "float" and not _is_finite(value):
+            if field.type != "float":
+                continue
+            if not _is_finite(value):
                 raise ValueError(f"{field.name} must be a finite number, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"{field.name} must be positive")
         if not self.lamp_xy or not all(
             len(xy) == 2 and all(_is_finite(c) for c in xy) for xy in self.lamp_xy
         ):
@@ -87,17 +97,13 @@ class RoomConfig:
             raise ValueError(
                 f"chips_per_side must be an integer of at least 1, got {self.chips_per_side!r}"
             )
-        if not 0 < self.semi_angle_deg < 90 or not 0 < self.fov_deg < 90:
+        chips = len(self.lamp_xy) * self.chips_per_side ** 2
+        if chips > _MAX_CHIPS:
+            raise ValueError(
+                f"len(lamp_xy) * chips_per_side**2 must be at most {_MAX_CHIPS}, got {chips}"
+            )
+        if not self.semi_angle_deg < 90 or not self.fov_deg < 90:
             raise ValueError("semi-angle and field of view must be in (0, 90) deg")
-        for name in (
-            "lamp_height", "chip_pitch", "pd_height", "current_min",
-            "current_max", "eo_gain", "detector_area", "filter_gain",
-            "refractive_index", "responsivity", "bandwidth", "noise_factor",
-            "background_current", "electron_charge", "noise_scale",
-            "sample_halfwidth",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.current_max <= self.current_min:
             raise ValueError("current_max must exceed current_min")
         if self.pd_height >= self.lamp_height:
@@ -277,15 +283,17 @@ class SerSurvey:
 
 
 _MAX_POSITIONS = 100_000  # positions and their seeds are drawn up front
+_BATCH_SIZE = 4096  # trials per batch at every position
 
 
 def check_survey(n_positions: int, trials_per_pos: int, threads: int) -> None:
     """ValueError unless ``survey_ser`` can run these sizes: 1.._MAX_POSITIONS
-    positions, at least one trial per position and at least one worker.
-    Cheap, so a caller can check before it computes anything else."""
-    if not (1 <= n_positions <= _MAX_POSITIONS and trials_per_pos >= 1):
-        raise ValueError(f"need 1..{_MAX_POSITIONS} positions and at least one trial")
-    _check_threads(threads)
+    positions, and ``trials_per_pos`` trials per position on ``threads``
+    workers as a run budget that passes ``_check_run``.  Cheap, so a caller
+    can check before it computes anything else."""
+    if not 1 <= n_positions <= _MAX_POSITIONS:
+        raise ValueError(f"need 1..{_MAX_POSITIONS} positions, got {n_positions}")
+    _check_run(None, trials_per_pos, _BATCH_SIZE, threads)
 
 
 def survey_ser(
@@ -296,59 +304,45 @@ def survey_ser(
     trials_per_pos: int = 10_000,
     seed: int = 0,
     threads: int = 1,
-    batch_size: int = 4096,
 ) -> SerSurvey:
     """Average SER over uniformly random receiver positions.
 
     Every position runs the same trial budget, so the pooled error fraction
     equals the unweighted mean of per-position SERs.  A position with zero
     optical gain (possible only when sampling outside the room) receives no
-    signal at all, so its trials are all counted as errors.  At
-    ``threads`` > 1 every position runs in one shared worker pool.
+    signal at all, so its trials are all counted as errors.  The other
+    positions run in order through one worker pool, after every one's OSNR
+    has been checked.
     """
     check_survey(n_positions, trials_per_pos, threads)
-    _check_run(None, trials_per_pos, batch_size, threads)
-    root = np.random.SeedSequence(seed)
-    pos_rng = np.random.Generator(np.random.Philox(root.spawn(1)[0]))
+    pos_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
     half = room.sample_halfwidth
     positions = pos_rng.uniform(-half, half, size=(n_positions, 2))
-    child_seeds = root.generate_state(n_positions, np.uint64)
+    osnrs = np.array([link_budget(room, xy, float(spec.alpha)).osnr_db for xy in positions])
+    points = list(zip(osnrs.tolist(), _point_seeds(seed, n_positions)))
 
-    records = []
-    osnrs = np.empty(n_positions)
-    total_trials = total_errors = 0
-    with _worker_pool(spec, threads) as workers:
-        for i in range(n_positions):
-            budget = link_budget(room, positions[i], float(spec.alpha))
-            osnrs[i] = budget.osnr_db
-            if not math.isfinite(budget.osnr_db):
-                rec = SerRecord(
-                    osnr_db=budget.osnr_db,
-                    trials=trials_per_pos,
-                    errors=trials_per_pos,
-                    ser=1.0,
-                    ci95_low=1.0,
-                    ci95_high=1.0,
-                    seed=int(child_seeds[i]),
-                )
-            else:
-                rec = simulate_ser(
-                    spec,
-                    budget.osnr_db,
-                    seed=int(child_seeds[i]),
-                    target_errors=None,
-                    max_trials=trials_per_pos,
-                    batch_size=batch_size,
-                    workers=workers,
-                )
-            records.append(rec)
-            total_trials += rec.trials
-            total_errors += rec.errors
+    runs = iter(_run_points(
+        spec,
+        [(osnr, s) for osnr, s in points if math.isfinite(osnr)],
+        target_errors=None,
+        max_trials=trials_per_pos,
+        batch_size=_BATCH_SIZE,
+        threads=threads,
+    ))
+    records = tuple(
+        next(runs) if math.isfinite(osnr) else SerRecord(
+            osnr_db=osnr, trials=trials_per_pos, errors=trials_per_pos,
+            ser=1.0, ci95_low=1.0, ci95_high=1.0, seed=s,
+        )
+        for osnr, s in points
+    )
+    trials = sum(rec.trials for rec in records)
+    errors = sum(rec.errors for rec in records)
     return SerSurvey(
         positions=positions,
         osnr_db=osnrs,
-        records=tuple(records),
-        trials=total_trials,
-        errors=total_errors,
-        ser=total_errors / total_trials,
+        records=records,
+        trials=trials,
+        errors=errors,
+        ser=errors / trials,
     )

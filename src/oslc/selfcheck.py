@@ -154,9 +154,14 @@ def _ball_noise(rng, count: int, n: int, scale: float):
 
 
 def _check_half_lattice_bdd(code: BinaryBlockCode, rng):
-    count = 400
-    v = _half_lattice_points(code, rng, count, 4)
-    noise = _ball_noise(rng, count, code.n, 0.99 * math.sqrt(8) / 2)
+    v = _half_lattice_points(code, rng, 400, 4)
+    noise = _ball_noise(rng, 400, code.n, 0.99 * math.sqrt(8) / 2)
+    # Ball noise seldom moves one coordinate past 1, the one case the parity
+    # repair mends; so add 2n codewords, each moved by 1.2 along one axis.
+    # They draw nothing from ``rng``, so the later checks keep their inputs.
+    v = np.vstack([v, code.codebook[: 2 * code.n]])
+    noise = np.vstack([noise, 1.2 * np.eye(code.n), -1.2 * np.eye(code.n)])
+    count = len(v)
     dec = lattices.bdd_half_lattice_batch(v + noise, code=code)
     if not np.array_equal(dec, v):
         bad = int((dec != v).any(axis=1).sum())

@@ -12,10 +12,10 @@ One loop runs the batches of a point: it keeps at most ``window`` batches
 past the commit point and commits by waiting on the oldest.  ``_check_run``
 checks the run budget, and ``_worker_pool`` yields ``(pool, window)``:
 ``(None, 1)`` at one worker, where each batch runs inline, and otherwise one
-process pool and a window of 2 * threads.  A sweep or survey checks its
-budget and then opens the pool once for all of its operating points; each
-worker receives the spec once, when it starts, and a task is only
-(sigma, seed, batch_index, count).
+process pool and a window of 2 * threads.  ``_run_points`` runs the points
+of a sweep or survey, seeded by ``_point_seeds``: it checks them all and the
+budget, then opens the pool once for all of them; each worker receives the
+spec once, when it starts, and a task is only (sigma, seed, batch_index, count).
 """
 
 from __future__ import annotations
@@ -161,12 +161,6 @@ def _pool_run(task: tuple[float, int, int, int]) -> int:
 _MAX_BATCH_SIZE = 65_536
 
 
-def _check_threads(threads: int) -> None:
-    """ValueError unless at least one worker is asked for."""
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-
-
 def _check_run(target_errors: int | None, max_trials: int, batch_size: int, threads: int) -> None:
     """ValueError unless the run budget is one a point can spend: an error
     target of None or at least 1, at least one trial, a batch size in
@@ -177,7 +171,8 @@ def _check_run(target_errors: int | None, max_trials: int, batch_size: int, thre
         raise ValueError("max_trials must be positive")
     if not 1 <= batch_size <= _MAX_BATCH_SIZE:
         raise ValueError(f"batch_size must be in 1..{_MAX_BATCH_SIZE}, got {batch_size}")
-    _check_threads(threads)
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
 
 
 @contextmanager
@@ -234,9 +229,9 @@ def simulate_ser(
 
     ``workers``, if given, is a ``(pool, window)`` from
     ``_worker_pool(spec, threads)`` used in place of one of this
-    call's own: ``ser_sweep`` and ``survey_ser`` open one for all their
-    points.  Batches still in flight when this point stops are dropped, so
-    they never count towards the next point.
+    call's own: ``_run_points`` opens one for all its points.  Batches
+    still in flight when this point stops are dropped, so they never count
+    towards the next point.
     """
     _check_osnr_db(osnr_db)
     _check_run(target_errors, max_trials, batch_size, threads)
@@ -276,6 +271,27 @@ def simulate_ser(
     )
 
 
+def _point_seeds(seed: int, count: int) -> list[int]:
+    """The seeds of ``count`` operating points run under the master ``seed``."""
+    return [int(v) for v in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
+
+
+def _run_points(
+    spec: ConstellationSpec, points: list[tuple[float, int]], **budget
+) -> list[SerRecord]:
+    """``simulate_ser`` at each ``(osnr_db, seed)`` of ``points`` in order, all
+    in one worker pool, with ``budget`` the arguments of ``_check_run``.
+    Every OSNR and the budget are checked before the first point runs."""
+    for osnr, _ in points:
+        _check_osnr_db(osnr)
+    _check_run(**budget)
+    with _worker_pool(spec, budget["threads"]) as workers:
+        return [
+            simulate_ser(spec, osnr, seed=seed, workers=workers, **budget)
+            for osnr, seed in points
+        ]
+
+
 def ser_sweep(
     spec: ConstellationSpec,
     osnr_grid,
@@ -294,23 +310,14 @@ def ser_sweep(
     (never an error, since the estimates are noisy by nature).
     """
     grid = [float(v) for v in np.atleast_1d(np.asarray(osnr_grid, dtype=np.float64))]
-    for osnr in grid:
-        _check_osnr_db(osnr)
-    _check_run(target_errors, max_trials, batch_size, threads)
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(grid), np.uint64)
-    with _worker_pool(spec, threads) as workers:
-        records = [
-            simulate_ser(
-                spec,
-                osnr,
-                seed=int(child),
-                target_errors=target_errors,
-                max_trials=max_trials,
-                batch_size=batch_size,
-                workers=workers,
-            )
-            for osnr, child in zip(grid, child_seeds)
-        ]
+    records = _run_points(
+        spec,
+        list(zip(grid, _point_seeds(seed, len(grid)))),
+        target_errors=target_errors,
+        max_trials=max_trials,
+        batch_size=batch_size,
+        threads=threads,
+    )
     for prev, cur in zip(records, records[1:]):
         if prev.osnr_db < cur.osnr_db and cur.ci95_low > prev.ci95_high:
             warnings.warn(

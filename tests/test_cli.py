@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oslc
-from oslc import cli, indoor, selfcheck, shaping
+from oslc import cli, indoor, lattices, selfcheck, shaping
 from oslc.cli import main
 from oslc.codes import GOLAY, BinaryBlockCode
 
@@ -182,6 +182,20 @@ class TestIndoorCommand:
         assert capsys.readouterr().err.startswith("oslc: ")
         assert not out.exists()
 
+    def test_oversized_room_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_chips(room):
+            raise AssertionError("chips allocated before the room was checked")
+
+        monkeypatch.setattr(indoor, "chip_positions", no_chips)
+        cfg = tmp_path / "room.json"
+        cfg.write_text(json.dumps({"room": {"chips_per_side": 100_000}}), encoding="utf-8")
+        out = tmp_path / "indoor.csv"
+        argv = ["indoor", "--scheme", "cubic", "--beta", "2", "--positions", "1",
+                "--trials-per-pos", "10", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert "chips_per_side**2 must be at most 100000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heatmap_covers_grid_inside_published_window(self, tmp_path):
         out = tmp_path / "indoor.csv"
         assert self.run_survey(out) == 0
@@ -235,6 +249,19 @@ class TestVerifyCommand:
         assert report["n_failed"] == 0
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("[PASS]") for line in lines) == report["n_checks"]
+
+    def test_skipped_parity_repair_is_caught(self, monkeypatch):
+        # No-op the half-lattice decoder's parity repair (its step is 2; the
+        # D_n decoder's step-1 repair still runs).
+        repair = lattices._repair_parity
+
+        def repair_dn_only(z, y, bad, step):
+            if step != 2:
+                repair(z, y, bad, step)
+
+        monkeypatch.setattr(lattices, "_repair_parity", repair_dn_only)
+        failed = {r.name for r in selfcheck.run_property_suite() if not r.passed}
+        assert "half_lattice_bdd_certificate" in failed
 
     def test_corrupt_code_reaches_the_suite_and_exits_3(self, tmp_path, monkeypatch, capsys):
         # The plumbing only: the suite is a stub that sees the code and fails

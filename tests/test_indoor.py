@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oslc import constellations as con
-from oslc import indoor
+from oslc import indoor, simulate
 from oslc.indoor import RoomConfig, chip_positions, lambertian_gain, link_budget
 
 
@@ -96,11 +96,19 @@ class TestRoomValidation:
             ({"lamp_xy": ((1.0,),)}, "lamp_xy must be one or more finite"),
             ({"lamp_xy": ()}, "lamp_xy must be one or more finite"),
             ({"pd_height": 3.0}, "pd_height must be below lamp_height"),
+            ({"semi_angle_deg": -5.0}, "semi_angle_deg must be positive"),
+            ({"fov_deg": 90.0}, r"must be in \(0, 90\) deg"),
+            ({"chips_per_side": 159}, r"chips_per_side\*\*2 must be at most 100000, got 101124"),
+            ({"chips_per_side": 100_000}, r"must be at most 100000, got 40000000000"),
+            ({"lamp_xy": ((0.0, 0.0),) * 2041}, r"len\(lamp_xy\) \* chips_per_side"),
         ],
     )
     def test_rejects_bad_room(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RoomConfig(**kwargs)
+
+    def test_chip_bound_admits_100000(self):
+        assert len(RoomConfig(chips_per_side=158)._chips) == 99_856
 
 
 class TestLinkBudget:
@@ -280,14 +288,58 @@ class TestSurvey:
         spec = con.build_cubic_spec(5, 0.2)
         with pytest.raises(ValueError):
             indoor.survey_ser(
-                RoomConfig(fov_deg=5.0), spec, n_positions=3, trials_per_pos=10,
-                threads=0, batch_size=0,
+                RoomConfig(fov_deg=5.0), spec, n_positions=3, trials_per_pos=10, threads=0
             )
 
+    def test_every_position_checked_before_any_runs(self, monkeypatch):
+        # The first position lies in the simulated OSNR range, later ones
+        # below it; the survey must fail before its first batch.
+        quiet = RoomConfig(noise_scale=3e26)
+        osnrs, batches = [], []
+
+        def budget(*args):
+            out = link_budget(*args)
+            osnrs.append(out.osnr_db)
+            return out
+
+        monkeypatch.setattr(indoor, "link_budget", budget)
+        monkeypatch.setattr(simulate, "_simulate_batch", lambda *args: batches.append(args))
+        spec = con.build_cubic_spec(5, 0.2)
+        with pytest.raises(ValueError, match="osnr_db must lie in"):
+            indoor.survey_ser(quiet, spec, n_positions=4, trials_per_pos=10, seed=1)
+        assert -100.0 < osnrs[0] and min(osnrs) < -100.0
+        assert batches == []
+
+    def test_draws_match_the_recorded_survey(self, room):
+        # Positions, per-position seeds and counts recorded from one run; a
+        # change to the position draw or the seed rule fails here.
+        spec = con.build_cubic_spec(5, 0.2)
+        s = indoor.survey_ser(room, spec, n_positions=6, trials_per_pos=2 * 4096, seed=11)
+        assert s.positions.tolist() == [
+            [0.4483774106866498, 0.9473539667551432],
+            [1.6681118807233801, -1.5276609875867395],
+            [-1.1695947764546255, -1.0428069268563047],
+            [1.053063222111053, -0.9455473300978152],
+            [1.617000127054478, 0.5341645485299509],
+            [-0.1543676264725664, 1.8634410763381255],
+        ]
+        assert [(r.trials, r.errors, r.seed) for r in s.records] == [
+            (8192, 3031, 3926704849073358691),
+            (8192, 2666, 2926583794887213564),
+            (8192, 2255, 215141457385765089),
+            (8192, 2382, 15564452721439488421),
+            (8192, 2971, 2213756741557572059),
+            (8192, 3897, 11894170964619036052),
+        ]
+        assert [r.osnr_db for r in s.records] == pytest.approx([
+            25.581617196768907, 25.726452193954962, 25.834318971586143,
+            25.779249528220273, 25.582118990970223, 25.337411944908133,
+        ], rel=1e-12)
+        assert (s.trials, s.errors) == (49152, 17202)
 
     def test_shared_pool_matches_serial(self, room):
         spec = con.build_cubic_spec(5, 0.2)
-        kwargs = dict(n_positions=4, trials_per_pos=3000, batch_size=512, seed=7)
+        kwargs = dict(n_positions=4, trials_per_pos=9000, seed=7)
         one = indoor.survey_ser(room, spec, threads=1, **kwargs)
         two = indoor.survey_ser(room, spec, threads=2, **kwargs)
         assert one.records == two.records
@@ -296,7 +348,7 @@ class TestSurvey:
 
     def test_one_pool_per_survey(self, room, inline_pools):
         spec = con.build_cubic_spec(5, 0.2)
-        kwargs = dict(n_positions=5, trials_per_pos=700, batch_size=256, seed=4)
+        kwargs = dict(n_positions=5, trials_per_pos=9000, seed=4)
         serial = indoor.survey_ser(room, spec, threads=1, **kwargs)
         assert inline_pools == []
         assert indoor.survey_ser(room, spec, threads=64, **kwargs).records == serial.records
