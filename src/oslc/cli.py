@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .codes import GOLAY, BinaryBlockCode
 from .constellations import SCHEMES, build_spec
-from .indoor import RoomConfig, check_survey, osnr_map, survey_ser
+from .indoor import RoomConfig, check_survey, osnr_map_rows, survey_ser
 from .selfcheck import run_property_suite
 from .shaping import solve_t_star
 from .simulate import ser_sweep
@@ -126,12 +126,14 @@ def _write_manifest(args, argv, started: float, outputs) -> None:
 
 
 def _check_out(out: str) -> Path:
-    """The ``out`` path, or ValueError if it names a directory or its
-    directory is missing: checked before any work, not after it."""
+    """The ``out`` path, or ValueError unless it names a regular file or a
+    new file in a directory that exists: checked before any work, not after
+    it.  A device or pipe would swallow the output, and the manifest would go
+    beside it."""
     out = Path(out)
     try:
-        if out.is_dir():
-            raise ValueError(f"out {str(out)!r} is a directory")
+        if out.exists() and not out.is_file():
+            raise ValueError(f"out {str(out)!r} is not a regular file")
         if not out.parent.is_dir():
             raise ValueError(f"out {str(out)!r}: {str(out.parent)!r} is not a directory")
     except OSError as exc:  # a name too long, say
@@ -154,8 +156,13 @@ def _spec(args):
 
 
 def _room_from_config(config: dict) -> RoomConfig:
+    """The room of the config's ``"room"`` object of RoomConfig fields (the
+    default room without one), or ValueError."""
+    overrides = config.get("room", {})
+    if not isinstance(overrides, dict):
+        raise ValueError(f"room must be a JSON object of room fields, got {overrides!r}")
     try:
-        overrides = dict(config.get("room", {}))
+        overrides = dict(overrides)
         if "lamp_xy" in overrides:
             overrides["lamp_xy"] = tuple(tuple(xy) for xy in overrides["lamp_xy"])
         return RoomConfig(**overrides)
@@ -228,11 +235,12 @@ def _cmd_ser(args) -> tuple[int, list[Path]]:
 
 def _cmd_indoor(args) -> tuple[int, list[Path]]:
     out = args.out
-    check_survey(args.positions, args.trials_per_pos, args.threads)
     room = _room_from_config(args.config)
+    check_survey(room, args.positions, args.trials_per_pos, args.threads)
+    omap, map_rows = osnr_map_rows(room, args.grid_step, args.alpha)
     spec = _spec(args)
 
-    omap = osnr_map(room, args.grid_step, args.alpha)
+    # The survey prices the heatmap's rows while its workers run batches.
     survey = survey_ser(
         room,
         spec,
@@ -240,12 +248,14 @@ def _cmd_indoor(args) -> tuple[int, list[Path]]:
         trials_per_pos=args.trials_per_pos,
         seed=args.seed,
         threads=args.threads,
+        steps=map_rows,
     )
     # Written only now, so a failed survey leaves no partial heatmap behind.
+    ys = [_fmt(y) for y in omap.ys.tolist()]
     rows = [
-        (_fmt(x), _fmt(y), _fmt(omap.osnr_db[i, j]))
-        for i, x in enumerate(omap.xs)
-        for j, y in enumerate(omap.ys)
+        (x, y, _fmt(v))
+        for x, line in zip(map(_fmt, omap.xs.tolist()), omap.osnr_db.tolist())
+        for y, v in zip(ys, line)
     ]
     _write_csv(out, ("x", "y", "osnr_db"), rows)
     summary = {

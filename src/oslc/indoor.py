@@ -11,14 +11,15 @@ used everywhere else in this package.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, _check_run, _point_seeds, _run_points
+from .simulate import SerRecord, _as_count, _check_run, _point_seeds, _run_points
 
 __all__ = [
     "LinkBudget",
@@ -30,6 +31,7 @@ __all__ = [
     "lambertian_gain",
     "link_budget",
     "osnr_map",
+    "osnr_map_rows",
     "survey_ser",
 ]
 
@@ -37,6 +39,11 @@ __all__ = [
 # Emitter chips a room may hold: link_budget holds a few float64 arrays of
 # this length per receiver position.
 _MAX_CHIPS = 100_000
+
+# Chip gains one pricing pass may evaluate, as heatmap cells x chips or as
+# survey positions x chips: a few seconds of link budgets on a 2-vCPU VM.
+# The default room's 0.01 m heatmap is 160,801 cells x 196 chips.
+_MAX_GAINS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,8 @@ class RoomConfig:
             raise ValueError(
                 f"lamp_xy must be one or more finite (x, y) pairs, got {self.lamp_xy!r}"
             )
+        if not isinstance(self.collapse_lamps, bool):
+            raise ValueError(f"collapse_lamps must be true or false, got {self.collapse_lamps!r}")
         if not isinstance(self.chips_per_side, Integral) or self.chips_per_side < 1:
             raise ValueError(
                 f"chips_per_side must be an integer of at least 1, got {self.chips_per_side!r}"
@@ -117,6 +126,10 @@ class RoomConfig:
     def concentrator_gain(self) -> float:
         return self.refractive_index ** 2 / math.sin(math.radians(self.fov_deg)) ** 2
 
+    @cached_property
+    def _cos_fov(self) -> float:
+        return math.cos(math.radians(self.fov_deg))
+
     @property
     def current_swing(self) -> float:
         return self.current_max - self.current_min
@@ -137,6 +150,25 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except TypeError:
         return False
+
+
+def _check_alpha(alpha) -> float:
+    """``alpha`` as a float, or ValueError unless it is a real number in
+    (0, 1/2), the dimming ratios every design takes (so NaN fails too)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha!r}")
+    return float(alpha)
+
+
+def _check_gains(room: RoomConfig, count: int, what: str) -> None:
+    """ValueError unless ``count`` link budgets in ``room`` evaluate at most
+    _MAX_GAINS chip gains; ``what`` names the count in the message.  The
+    chips are counted, not built."""
+    chips = len(room.lamp_xy) * (1 if room.collapse_lamps else room.chips_per_side ** 2)
+    if count * chips > _MAX_GAINS:
+        raise ValueError(
+            f"{what} x chips must be at most {_MAX_GAINS}, got {count} x {chips}"
+        )
 
 
 def chip_positions(room: RoomConfig) -> np.ndarray:
@@ -164,24 +196,32 @@ def lambertian_gain(chip_pos, pd_pos, room: RoomConfig) -> np.ndarray | float:
     the field of view.  Emitters point straight down and the detector points
     straight up, so both direction cosines equal dz / d.
     """
-    chips = np.atleast_2d(np.asarray(chip_pos, dtype=np.float64))
-    pd = np.asarray(pd_pos, dtype=np.float64)
-    diff = chips - pd
-    d2 = (diff ** 2).sum(axis=1)
-    d = np.sqrt(d2)
-    cos_both = diff[:, 2] / d
-    m = room.lambert_order
-    h = (
-        (m + 1.0)
-        * room.detector_area
-        / (2.0 * math.pi * d2)
-        * cos_both ** m
-        * room.filter_gain
-        * room.concentrator_gain
-        * cos_both
-    )
-    h = np.where(cos_both >= math.cos(math.radians(room.fov_deg)), h, 0.0)
-    return float(h[0]) if np.asarray(chip_pos).ndim == 1 else h
+    chips = np.asarray(chip_pos, dtype=np.float64)
+    x, y, z = np.asarray(pd_pos, dtype=np.float64).tolist()
+    cols = chips.reshape(-1, 3)
+    cx, cy, cz = cols[:, 0], cols[:, 1], cols[:, 2]
+    # The formula's float64 operations in its own order, in place where they
+    # can be, so each gain is bit for bit the one the formula gives; d2 is
+    # (dx*dx + dy*dy) + dz*dz, the order of a sum over each row.
+    dz = cz - z
+    d2 = cx - x
+    d2 *= d2
+    part = cy - y
+    part *= part
+    d2 += part
+    np.multiply(dz, dz, out=part)
+    d2 += part
+    cos_both = np.sqrt(d2)
+    np.divide(dz, cos_both, out=cos_both)
+    h = d2
+    h *= 2.0 * math.pi
+    np.divide((room.lambert_order + 1.0) * room.detector_area, h, out=h)
+    h *= cos_both ** room.lambert_order
+    h *= room.filter_gain
+    h *= room.concentrator_gain
+    h *= cos_both
+    h[~(cos_both >= room._cos_fov)] = 0.0
+    return float(h[0]) if chips.ndim == 1 else h
 
 
 @dataclass(frozen=True)
@@ -198,14 +238,15 @@ class LinkBudget:
 
 
 def link_budget(room: RoomConfig, pd_xy, alpha: float) -> LinkBudget:
-    """Aggregate gain, noise, and OSNR at one receiver position."""
+    """Aggregate gain, noise, and OSNR at one receiver position, for a
+    dimming ratio ``alpha`` in (0, 1/2) (else ValueError)."""
+    alpha = _check_alpha(alpha)
     x, y = float(pd_xy[0]), float(pd_xy[1])
-    pd = np.array([x, y, room.pd_height])
-    gains = lambertian_gain(room._chips, pd, room)
+    gains = lambertian_gain(room._chips, (x, y, room.pd_height), room)
     # A collapsed lamp stands in for a full chip array at the lamp center, so
     # it carries the whole array's drive current.
     weight = room.chips_per_side ** 2 if room.collapse_lamps else 1
-    gain_sum = weight * float(np.sum(gains))
+    gain_sum = weight * float(gains.sum())
     chain = room.responsivity * room.eo_gain
     eff_gain = room.current_swing * chain * gain_sum
     shot_current = chain * room.mean_current(alpha) * gain_sum
@@ -225,7 +266,7 @@ def link_budget(room: RoomConfig, pd_xy, alpha: float) -> LinkBudget:
         osnr_db = -math.inf
     return LinkBudget(
         pd_xy=(x, y),
-        alpha=float(alpha),
+        alpha=alpha,
         gain_sum=gain_sum,
         eff_gain=eff_gain,
         sigma=sigma,
@@ -246,11 +287,27 @@ class OsnrMap:
 
 
 def osnr_map(room: RoomConfig, grid_step: float, alpha: float) -> OsnrMap:
-    """OSNR in dB over the receiver plane on a regular grid.
+    """OSNR in dB over the receiver plane on a regular grid: ``osnr_map_rows``
+    with every row priced."""
+    omap, rows = osnr_map_rows(room, grid_step, alpha)
+    for _ in rows:
+        pass
+    return omap
 
-    The grid may have at most 401 points per side (a step of 0.01 m in the
-    default room): each cell costs one scalar link budget.
+
+def osnr_map_rows(
+    room: RoomConfig, grid_step: float, alpha: float
+) -> tuple[OsnrMap, Iterator[int]]:
+    """The map of ``osnr_map`` before it is priced, and an iterator that
+    prices it one row per step, yielding the row's index.
+
+    The grid, ``alpha`` and the work are checked now, before any row is
+    priced (else ValueError): the grid may have at most 401 points per side
+    (a step of 0.01 m in the default room), and cells x chips may be at most
+    _MAX_GAINS, since each cell costs one scalar link budget over every
+    chip.  ``osnr_db`` holds the priced rows only once the iterator is done.
     """
+    alpha = _check_alpha(alpha)
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     half = room.sample_halfwidth
@@ -263,11 +320,18 @@ def osnr_map(room: RoomConfig, grid_step: float, alpha: float) -> OsnrMap:
         )
     xs = np.arange(-half, stop, grid_step)
     ys = xs.copy()
+    _check_gains(room, xs.size * ys.size, "heatmap cells")
     vals = np.empty((xs.size, ys.size))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            vals[i, j] = link_budget(room, (x, y), alpha).osnr_db
-    return OsnrMap(xs=xs, ys=ys, osnr_db=vals, alpha=float(alpha))
+    return OsnrMap(xs=xs, ys=ys, osnr_db=vals, alpha=alpha), _price_rows(room, xs, vals, alpha)
+
+
+def _price_rows(room: RoomConfig, xs: np.ndarray, vals: np.ndarray, alpha: float):
+    """Per step, price row i of the square grid ``vals`` on the points ``xs``
+    along both axes, then yield i."""
+    coords = xs.tolist()
+    for i, x in enumerate(coords):
+        vals[i] = [link_budget(room, (x, y), alpha).osnr_db for y in coords]
+        yield i
 
 
 @dataclass(frozen=True)
@@ -286,14 +350,16 @@ _MAX_POSITIONS = 100_000  # positions and their seeds are drawn up front
 _BATCH_SIZE = 4096  # trials per batch at every position
 
 
-def check_survey(n_positions: int, trials_per_pos: int, threads: int) -> None:
-    """ValueError unless ``survey_ser`` can run these sizes: 1.._MAX_POSITIONS
-    positions, and ``trials_per_pos`` trials per position on ``threads``
-    workers as a run budget that passes ``_check_run``.  Cheap, so a caller
-    can check before it computes anything else."""
-    if not 1 <= n_positions <= _MAX_POSITIONS:
+def check_survey(room: RoomConfig, n_positions: int, trials_per_pos: int, threads: int) -> None:
+    """ValueError unless ``survey_ser`` can run these sizes in ``room``:
+    1.._MAX_POSITIONS positions whose link budgets evaluate at most
+    _MAX_GAINS chip gains, and ``trials_per_pos`` trials per position on
+    ``threads`` workers as a run budget that passes ``_check_run``.  Cheap,
+    so a caller can check before it computes anything else."""
+    if not 1 <= _as_count("n_positions", n_positions) <= _MAX_POSITIONS:
         raise ValueError(f"need 1..{_MAX_POSITIONS} positions, got {n_positions}")
-    _check_run(None, trials_per_pos, _BATCH_SIZE, threads)
+    _check_gains(room, n_positions, "positions")
+    _check_run(None, _as_count("trials_per_pos", trials_per_pos), _BATCH_SIZE, threads)
 
 
 def survey_ser(
@@ -304,6 +370,7 @@ def survey_ser(
     trials_per_pos: int = 10_000,
     seed: int = 0,
     threads: int = 1,
+    steps: Iterable = (),
 ) -> SerSurvey:
     """Average SER over uniformly random receiver positions.
 
@@ -313,12 +380,17 @@ def survey_ser(
     signal at all, so its trials are all counted as errors.  The other
     positions run in order through one worker pool, after every one's OSNR
     has been checked.
+
+    ``steps`` is for ``oslc indoor``: work, such as the rows of
+    ``osnr_map_rows``, that ``_run_points`` runs in this process while the
+    workers run batches, and otherwise after the last position.
     """
-    check_survey(n_positions, trials_per_pos, threads)
+    check_survey(room, n_positions, trials_per_pos, threads)
+    alpha = _check_alpha(spec.alpha)
     pos_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
     half = room.sample_halfwidth
     positions = pos_rng.uniform(-half, half, size=(n_positions, 2))
-    osnrs = np.array([link_budget(room, xy, float(spec.alpha)).osnr_db for xy in positions])
+    osnrs = np.array([link_budget(room, xy, alpha).osnr_db for xy in positions])
     points = list(zip(osnrs.tolist(), _point_seeds(seed, n_positions)))
 
     runs = iter(_run_points(
@@ -328,6 +400,7 @@ def survey_ser(
         max_trials=trials_per_pos,
         batch_size=_BATCH_SIZE,
         threads=threads,
+        steps=steps,
     ))
     records = tuple(
         next(runs) if math.isfinite(osnr) else SerRecord(

@@ -16,14 +16,18 @@ process pool and a window of 2 * threads.  ``_run_points`` runs the points
 of a sweep or survey, seeded by ``_point_seeds``: it checks them all and the
 budget, then opens the pool once for all of them; each worker receives the
 spec once, when it starts, and a task is only (sigma, seed, batch_index, count).
+While the oldest batch is still running on the pool, the loop runs steps of
+other work the caller hands it, such as the rows of an indoor heatmap.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from collections import deque
+from collections.abc import Iterable
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -161,17 +165,29 @@ def _pool_run(task: tuple[float, int, int, int]) -> int:
 _MAX_BATCH_SIZE = 65_536
 
 
+def _as_count(name: str, value) -> int:
+    """``value`` as an int, or ValueError naming ``name`` unless it is an
+    integer (``operator.index`` takes it) and not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_run(target_errors: int | None, max_trials: int, batch_size: int, threads: int) -> None:
-    """ValueError unless the run budget is one a point can spend: an error
-    target of None or at least 1, at least one trial, a batch size in
-    1.._MAX_BATCH_SIZE and at least one worker.  Run before any pool opens."""
-    if target_errors is not None and target_errors < 1:
+    """ValueError unless the run budget is one a point can spend, each count
+    an integer: an error target of None or at least 1, at least one trial, a
+    batch size in 1.._MAX_BATCH_SIZE and at least one worker.  Run before
+    any pool opens."""
+    if target_errors is not None and _as_count("target_errors", target_errors) < 1:
         raise ValueError("target_errors must be positive (or None)")
-    if max_trials < 1:
+    if _as_count("max_trials", max_trials) < 1:
         raise ValueError("max_trials must be positive")
-    if not 1 <= batch_size <= _MAX_BATCH_SIZE:
+    if not 1 <= _as_count("batch_size", batch_size) <= _MAX_BATCH_SIZE:
         raise ValueError(f"batch_size must be in 1..{_MAX_BATCH_SIZE}, got {batch_size}")
-    if threads < 1:
+    if _as_count("threads", threads) < 1:
         raise ValueError("threads must be at least 1")
 
 
@@ -207,6 +223,10 @@ def _check_osnr_db(osnr_db: float) -> None:
         )
 
 
+# What next() returns from an exhausted iterator of steps.
+_DONE = object()
+
+
 def simulate_ser(
     spec: ConstellationSpec,
     osnr_db: float,
@@ -217,6 +237,7 @@ def simulate_ser(
     batch_size: int = 4096,
     threads: int = 1,
     workers: tuple[Executor | None, int] | None = None,
+    steps: Iterable = (),
 ) -> SerRecord:
     """Estimate the symbol error rate at one operating point, ``osnr_db``
     in _OSNR_DB, with a run budget that passes ``_check_run`` (else
@@ -232,11 +253,16 @@ def simulate_ser(
     call's own: ``_run_points`` opens one for all its points.  Batches
     still in flight when this point stops are dropped, so they never count
     towards the next point.
+
+    ``steps`` is an iterable of work for this process, one step per item:
+    whenever the oldest batch in flight on a pool is not yet done, the loop
+    takes one step and then looks again.  At one worker no step runs here.
     """
     _check_osnr_db(osnr_db)
     _check_run(target_errors, max_trials, batch_size, threads)
     sigma = float(osnr_to_sigma(osnr_db))
 
+    steps = iter(steps)
     trials = errors = submitted = 0
     ahead = deque()  # (count, error count or its future) past the commit point
     scope = _worker_pool(spec, threads) if workers is None else nullcontext(workers)
@@ -251,7 +277,12 @@ def simulate_ser(
                     ahead.append((count, pool.submit(_pool_run, task)))
                 submitted += 1
             count, run = ahead.popleft()
-            errors += run if pool is None else run.result()
+            if pool is None:
+                errors += run
+            else:
+                while not run.done() and next(steps, _DONE) is not _DONE:
+                    pass
+                errors += run.result()
             trials += count
         for _, fut in ahead:
             fut.cancel()
@@ -277,19 +308,27 @@ def _point_seeds(seed: int, count: int) -> list[int]:
 
 
 def _run_points(
-    spec: ConstellationSpec, points: list[tuple[float, int]], **budget
+    spec: ConstellationSpec, points: list[tuple[float, int]], steps: Iterable = (), **budget
 ) -> list[SerRecord]:
     """``simulate_ser`` at each ``(osnr_db, seed)`` of ``points`` in order, all
     in one worker pool, with ``budget`` the arguments of ``_check_run``.
-    Every OSNR and the budget are checked before the first point runs."""
+    Every OSNR and the budget are checked before the first point runs.
+
+    Each point takes work from the iterator ``steps`` while it waits on the
+    pool's workers (see ``simulate_ser``); the steps left over run after the
+    last point, so all of them have run when this returns."""
     for osnr, _ in points:
         _check_osnr_db(osnr)
     _check_run(**budget)
+    steps = iter(steps)
     with _worker_pool(spec, budget["threads"]) as workers:
-        return [
-            simulate_ser(spec, osnr, seed=seed, workers=workers, **budget)
+        records = [
+            simulate_ser(spec, osnr, seed=seed, workers=workers, steps=steps, **budget)
             for osnr, seed in points
         ]
+    for _ in steps:
+        pass
+    return records
 
 
 def ser_sweep(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oslc
-from oslc import cli, indoor, lattices, selfcheck, shaping
+from oslc import cli, indoor, lattices, selfcheck, shaping, simulate
 from oslc.cli import main
 from oslc.codes import GOLAY, BinaryBlockCode
 
@@ -196,6 +196,65 @@ class TestIndoorCommand:
         assert "chips_per_side**2 must be at most 100000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(("flags", "room", "csv_sha256", "summary_sha256"), [
+        (("--scheme", "cubic", "--beta", "5", "--alpha", "0.2", "--grid-step", "0.25",
+          "--positions", "6", "--trials-per-pos", "8192", "--seed", "5"), None,
+         "94dd1c8a65c9888ee7efce4f456717739146c6bb1efce3f9936512935399202f",
+         "c15baf43ca24bca3df927665845c30bc8ee96c20fb6a3028373ae42b06df38e3"),
+        # no position and most cells get light within a 5 degree field of view
+        (("--scheme", "cubic", "--beta", "4", "--alpha", "0.2", "--grid-step", "0.5",
+          "--positions", "5", "--trials-per-pos", "4096", "--seed", "2"), {"fov_deg": 5.0},
+         "d7cca20c82565743b47530ca4cae4cfb18f57b6e19df62d677a035cb75ef4357",
+         "d0d4a7c00071452f72597924cf9c24f292062b464c618a7139abccac99fe9637"),
+    ], ids=["default-room", "fov5"])
+    def test_outputs_match_recorded_digests(self, tmp_path, threads, flags, room,
+                                            csv_sha256, summary_sha256):
+        # recorded when the heatmap was priced before the survey, one cell
+        # at a time; pricing it while the batches run changes no byte
+        out = tmp_path / "indoor.csv"
+        argv = ["indoor", *flags, "--threads", threads, "--out", str(out)]
+        if room is not None:
+            cfg = tmp_path / "room.json"
+            cfg.write_text(json.dumps({"room": room}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        assert sha256_of(out) == csv_sha256
+        assert sha256_of(tmp_path / "indoor_summary.json") == summary_sha256
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "0.001"])
+    def test_bad_grid_step_exits_before_any_batch(self, tmp_path, monkeypatch, capsys, step):
+        # the survey prices the heatmap, so the grid is checked before it runs
+        batches = []
+        monkeypatch.setattr(simulate, "_simulate_batch", lambda *args: batches.append(args))
+        out = tmp_path / "indoor.csv"
+        argv = ["indoor", "--scheme", "cubic", "--beta", "2", "--positions", "2",
+                "--trials-per-pos", "10", "--grid-step", step, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("oslc: grid_step")
+        assert batches == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(("flags", "message"), [
+        (("--grid-step", "0.1"), "heatmap cells x chips must be at most 50000000, got 1681 x 99856"),
+        (("--positions", "501"), "positions x chips must be at most 50000000, got 501 x 99856"),
+    ])
+    def test_work_bound_exits_2(self, tmp_path, monkeypatch, capsys, flags, message):
+        # In a room of 99,856 chips, neither the grid nor the chips are built.
+        def fail(*args):
+            raise AssertionError("priced before the work was checked")
+
+        monkeypatch.setattr(indoor, "chip_positions", fail)
+        monkeypatch.setattr(indoor, "link_budget", fail)
+        cfg = tmp_path / "room.json"
+        cfg.write_text(json.dumps({"room": {"chips_per_side": 158}}), encoding="utf-8")
+        out = tmp_path / "indoor.csv"
+        argv = ["indoor", "--scheme", "cubic", "--beta", "2", "--positions", "1",
+                "--trials-per-pos", "10", "--grid-step", "1.0", "--config", str(cfg),
+                "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"oslc: {message}\n"
+        assert not out.exists()
+
     def test_heatmap_covers_grid_inside_published_window(self, tmp_path):
         out = tmp_path / "indoor.csv"
         assert self.run_survey(out) == 0
@@ -374,7 +433,7 @@ class TestUsageErrors:
                                                   argv, where):
         # Each stub records a call: the path is checked before any of them.
         calls = []
-        for name in ("solve_t_star", "build_spec", "ser_sweep", "osnr_map",
+        for name in ("solve_t_star", "build_spec", "ser_sweep", "osnr_map_rows",
                      "survey_ser", "run_property_suite"):
             monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
         out = {"missing directory": tmp_path / "missing" / "x.csv", "directory": tmp_path,
@@ -383,6 +442,22 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith(f"oslc: out {str(out)!r}")
         assert calls == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_is_not_a_regular_file_exits_2(self, tmp_path):
+        # Writing to a pipe with no reader blocks, and the manifest would go
+        # beside it (with /dev/null, to /dev/null_manifest.json).
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        with pytest.raises(ValueError, match="is not a regular file"):
+            cli._check_out(str(fifo))
+        argv = ["indoor", "--scheme", "cubic", "--beta", "2", "--positions", "1",
+                "--trials-per-pos", "10", "--grid-step", "1.0", "--out", str(fifo)]
+        env = dict(os.environ, PYTHONPATH=str(Path(oslc.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "oslc.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"oslc: out {str(fifo)!r} is not a regular file\n"
+        assert list(tmp_path.iterdir()) == [fifo]
 
     def test_axes_at_their_bounds_run(self, tmp_path, monkeypatch):
         solved = []
@@ -481,7 +556,9 @@ class TestConfigFile:
         assert row["beta"] == "1"
 
     @pytest.mark.parametrize(
-        "room", [{"sample_halfwidth": -1.0}, {"no_such_field": 1.0}]
+        "room", [{"sample_halfwidth": -1.0}, {"no_such_field": 1.0},
+                 # not a room object, and a string that would be truthy
+                 [], [["fov_deg", 30]], {"collapse_lamps": "no"}]
     )
     def test_bad_room_exits_2(self, tmp_path, capsys, room):
         cfg = tmp_path / "room.json"
@@ -553,6 +630,11 @@ class TestConfigFile:
         assert main([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"oslc: {key} must be {what}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("room", [[], [["fov_deg", 30]], "room", None])
+    def test_room_must_be_an_object(self, room):
+        with pytest.raises(ValueError, match="room must be a JSON object"):
+            cli._room_from_config({"room": room})
 
     def test_room_overrides_reach_the_survey(self, tmp_path):
         cfg = tmp_path / "room.json"

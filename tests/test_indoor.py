@@ -1,6 +1,8 @@
 """Tests for the indoor Lambertian room model and position-averaged SER."""
 
 import math
+import os
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +16,49 @@ from oslc.indoor import RoomConfig, chip_positions, lambertian_gain, link_budget
 @pytest.fixture(scope="module")
 def room():
     return RoomConfig()
+
+
+def reference_gain(chip_pos, pd_pos, room):
+    """The gain expression written directly, with a row sum and np.where:
+    lambertian_gain evaluates the same float64 operations in the same order,
+    so it must match this bit for bit."""
+    chips = np.atleast_2d(np.asarray(chip_pos, dtype=np.float64))
+    pd = np.asarray(pd_pos, dtype=np.float64)
+    diff = chips - pd
+    d2 = (diff ** 2).sum(axis=1)
+    d = np.sqrt(d2)
+    cos_both = diff[:, 2] / d
+    m = room.lambert_order
+    h = (
+        (m + 1.0)
+        * room.detector_area
+        / (2.0 * math.pi * d2)
+        * cos_both ** m
+        * room.filter_gain
+        * room.concentrator_gain
+        * cos_both
+    )
+    h = np.where(cos_both >= math.cos(math.radians(room.fov_deg)), h, 0.0)
+    return float(h[0]) if np.asarray(chip_pos).ndim == 1 else h
+
+
+# The default room, collapsed lamps, a field of view that leaves cells with
+# no gain at all, and 40 x 40 chips per lamp.
+ORACLE_ROOMS = {
+    "default": RoomConfig(),
+    "collapsed": RoomConfig(collapse_lamps=True),
+    "fov30": RoomConfig(fov_deg=30.0),
+    "6400chips": RoomConfig(chips_per_side=40),
+}
+
+
+def fail_if_priced(monkeypatch):
+    """Make building a chip grid or a link budget fail the test."""
+    def fail(*args):
+        raise AssertionError("priced before the work was checked")
+
+    monkeypatch.setattr(indoor, "chip_positions", fail)
+    monkeypatch.setattr(indoor, "link_budget", fail)
 
 
 class TestGeometry:
@@ -47,6 +92,17 @@ class TestGeometry:
         pd = np.array([-3.5, -3.5, 0.6])
         # incidence angle ~71.6 degrees, beyond the 60 degree field of view
         assert lambertian_gain(chip, pd, room) == 0.0
+
+    @pytest.mark.parametrize("name", list(ORACLE_ROOMS))
+    def test_bitwise_equal_to_the_reference_expression(self, name):
+        room = ORACLE_ROOMS[name]
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            pd = np.array([*rng.uniform(-3, 3, size=2), room.pd_height])
+            got = lambertian_gain(room._chips, pd, room)
+            assert got.tobytes() == reference_gain(room._chips, pd, room).tobytes()
+        chip = room._chips[-1]
+        assert lambertian_gain(chip, tuple(pd), room) == reference_gain(chip, pd, room)
 
     def test_against_vector_algebra_oracle(self, room):
         rng = np.random.default_rng(2)
@@ -91,6 +147,9 @@ class TestRoomValidation:
             ({"chips_per_side": 0}, "chips_per_side must be an integer of at least 1"),
             ({"chips_per_side": -3}, "chips_per_side must be an integer of at least 1"),
             ({"chips_per_side": 2.5}, "chips_per_side must be an integer of at least 1"),
+            # a truthy string would collapse the lamps
+            ({"collapse_lamps": "no"}, "collapse_lamps must be true or false"),
+            ({"collapse_lamps": 1}, "collapse_lamps must be true or false"),
             ({"lamp_xy": ((0.0, math.nan),)}, "lamp_xy must be one or more finite"),
             ({"lamp_xy": ((math.inf, 0.0), (1.0, 1.0))}, "lamp_xy must be one or more finite"),
             ({"lamp_xy": ((1.0,),)}, "lamp_xy must be one or more finite"),
@@ -152,6 +211,19 @@ class TestLinkBudget:
             full = link_budget(room, xy, 0.3).osnr_db
             approx = link_budget(collapsed, xy, 0.3).osnr_db
             assert abs(full - approx) < 0.1
+
+    @pytest.mark.parametrize(
+        "alpha", [math.nan, math.inf, -5.0, 0.0, 0.5, 2, True, None, "0.3"]
+    )
+    def test_alpha_outside_the_designs_range_is_rejected(self, room, alpha):
+        # NaN gave osnr_db = nan, and a negative alpha a bare math domain error
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\)"):
+            link_budget(room, (0.0, 0.0), alpha)
+
+    def test_alpha_of_any_real_kind(self, room):
+        want = link_budget(room, (0.5, -0.5), 0.3)
+        for alpha in (np.float64(0.3), Fraction("0.3")):
+            assert link_budget(room, (0.5, -0.5), alpha) == want
 
     def test_zero_coverage_yields_infinite_noise(self):
         narrow = RoomConfig(fov_deg=5.0)
@@ -236,6 +308,76 @@ class TestOsnrMap:
         m = indoor.osnr_map(room, 0.01, 0.3)
         assert m.osnr_db.shape == (401, 401)
 
+    @pytest.mark.parametrize("name", list(ORACLE_ROOMS))
+    def test_bitwise_equal_to_a_map_of_reference_gains(self, name, monkeypatch):
+        room = ORACLE_ROOMS[name]
+        steps = (1.0, 0.5, 0.2)
+        got = [indoor.osnr_map(room, step, 0.3).osnr_db for step in steps]
+        monkeypatch.setattr(indoor, "lambertian_gain", reference_gain)
+        want = [indoor.osnr_map(room, step, 0.3).osnr_db for step in steps]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        if name == "fov30":
+            assert np.isneginf(got[-1]).any() and np.isfinite(got[-1]).any()
+
+    @pytest.mark.parametrize("alpha", [math.nan, -5.0, 0.5, None])
+    def test_alpha_checked_before_any_cell(self, room, monkeypatch, alpha):
+        fail_if_priced(monkeypatch)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\)"):
+            indoor.osnr_map(room, 1.0, alpha)
+
+
+class TestOsnrMapRows:
+    def test_checks_run_before_the_first_row(self, room, monkeypatch):
+        fail_if_priced(monkeypatch)
+        for step, alpha in ((0.0, 0.3), (0.001, 0.3), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                indoor.osnr_map_rows(room, step, alpha)
+        indoor.osnr_map_rows(room, 0.5, 0.3)  # prices nothing until iterated
+
+    def test_each_step_prices_one_row(self, room, monkeypatch):
+        cells = []
+
+        def budget(room, xy, alpha):
+            cells.append(xy)
+            return SimpleNamespace(osnr_db=float(len(cells)))
+
+        monkeypatch.setattr(indoor, "link_budget", budget)
+        omap, rows = indoor.osnr_map_rows(room, 1.0, 0.3)
+        assert next(rows) == 0
+        assert cells == [(-2.0, y) for y in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        assert list(rows) == [1, 2, 3, 4]
+        assert omap.osnr_db.tolist() == np.arange(1.0, 26.0).reshape(5, 5).tolist()
+
+
+class TestWorkBound:
+    # 158 x 158 chips per lamp, 99,856 in all: the largest room accepted
+    BIG = {"chips_per_side": 158}
+
+    def test_heatmap_cells_times_chips(self, monkeypatch):
+        fail_if_priced(monkeypatch)
+        room = RoomConfig(**self.BIG)
+        with pytest.raises(
+            ValueError,
+            match=r"heatmap cells x chips must be at most 50000000, got 1681 x 99856",
+        ):
+            indoor.osnr_map_rows(room, 0.1, 0.3)
+        indoor.osnr_map_rows(room, 0.2, 0.3)  # 441 cells
+        # collapsed, the same room has 4 chips
+        indoor.osnr_map_rows(RoomConfig(**self.BIG, collapse_lamps=True), 0.01, 0.3)
+
+    def test_survey_positions_times_chips(self, monkeypatch):
+        fail_if_priced(monkeypatch)
+        room = RoomConfig(**self.BIG)
+        spec = con.build_cubic_spec(2, 0.2)
+        with pytest.raises(
+            ValueError,
+            match=r"positions x chips must be at most 50000000, got 501 x 99856",
+        ):
+            indoor.survey_ser(room, spec, n_positions=501, trials_per_pos=10)
+        indoor.check_survey(room, 500, 10, 1)
+        indoor.check_survey(RoomConfig(), 100_000, 10, 1)
+
 
 class TestSurvey:
     def test_bookkeeping_and_determinism(self, room):
@@ -282,6 +424,12 @@ class TestSurvey:
         spec = con.build_cubic_spec(5, 0.2)
         with pytest.raises(ValueError):
             indoor.survey_ser(room, spec, n_positions=0, trials_per_pos=10)
+        # a bool or a float used to pass as a count: True ran one trial
+        for key, value in (("trials_per_pos", True), ("trials_per_pos", 10.0),
+                           ("n_positions", 2.5), ("threads", 2.5)):
+            kwargs = {"n_positions": 2, "trials_per_pos": 10, key: value}
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                indoor.survey_ser(room, spec, **kwargs)
 
     def test_worker_budget_checked_without_coverage(self):
         # no position has optical gain, so simulate_ser never runs
@@ -345,6 +493,35 @@ class TestSurvey:
         assert one.records == two.records
         assert np.array_equal(one.osnr_db, two.osnr_db)
         assert one.errors > 0
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_heatmap_priced_while_the_survey_runs(self, room, monkeypatch):
+        # Two real workers: the parent prices heatmap rows while it waits on
+        # them, so at least one row is done before the last position's
+        # batches commit; every row is done when the survey returns.
+        spec = con.build_cubic_spec(5, 0.2)
+        kwargs = dict(n_positions=4, trials_per_pos=2 * 4096, seed=7)
+        points_done, rows_seen = [], []
+        run_point = simulate.simulate_ser
+
+        def spy_point(*args, **kw):
+            rec = run_point(*args, **kw)
+            points_done.append(rec)
+            return rec
+
+        def spy(rows):
+            for row in rows:
+                rows_seen.append((row, len(points_done)))
+                yield row
+
+        monkeypatch.setattr(simulate, "simulate_ser", spy_point)
+        omap, rows = indoor.osnr_map_rows(room, 0.25, 0.3)
+        two = indoor.survey_ser(room, spec, threads=2, steps=spy(rows), **kwargs)
+        assert [row for row, _ in rows_seen] == list(range(17))
+        assert rows_seen[0][1] < 4
+        one = indoor.survey_ser(room, spec, threads=1, **kwargs)
+        assert one.records == two.records
+        assert omap.osnr_db.tobytes() == indoor.osnr_map(room, 0.25, 0.3).osnr_db.tobytes()
 
     def test_one_pool_per_survey(self, room, inline_pools):
         spec = con.build_cubic_spec(5, 0.2)

@@ -291,10 +291,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("budget", [
         dict(max_trials=0), dict(target_errors=0), dict(batch_size=0), dict(threads=0),
+        # counts must be integers: 2.5 threads ran, and True ran one trial
+        dict(threads=2.5), dict(max_trials=True), dict(batch_size=4096.0),
     ])
     def test_run_budget_checked_before_the_pool_opens(self, cubic_b2, inline_pools, budget):
         with pytest.raises(ValueError, match=next(iter(budget))):
             sim.ser_sweep(cubic_b2, [10.0], **{"threads": 2, **budget})
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            sim.simulate_ser(cubic_b2, 10.0, **{"threads": 2, **budget})
         assert inline_pools == []
 
     def test_bitwise_identical_rerun(self, cubic_b4):
@@ -352,3 +356,84 @@ class TestSweep:
             sim.ser_sweep(
                 cubic_b4, [20.0, 23.0], seed=6, target_errors=80, max_trials=20000
             )
+
+
+class TestParentSteps:
+    """``_run_points`` runs the caller's steps while the oldest batch on the
+    pool is not done, and the rest after the last point."""
+
+    POINTS = [(20.0, 1), (21.0, 2)]
+    BUDGET = dict(target_errors=None, max_trials=8 * 256, batch_size=256)
+
+    @pytest.fixture
+    def batches_run(self, monkeypatch):
+        """A pool whose futures read done on their third poll and run their
+        task when the result is read; returns the count of batches run."""
+        ran = [0]
+        simulate_batch = sim._simulate_batch
+
+        def counting_batch(*args):
+            ran[0] += 1
+            return simulate_batch(*args)
+
+        class LazyFuture:
+            def __init__(self, fn, args):
+                self.fn, self.args, self.polls = fn, args, 0
+
+            def done(self):
+                self.polls += 1
+                return self.polls > 2
+
+            def result(self):
+                return self.fn(*self.args)
+
+            def cancel(self):
+                return True
+
+        class LazyPool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def submit(self, fn, *args):
+                return LazyFuture(fn, args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(sim, "_simulate_batch", counting_batch)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(sim, "_POOL_SPEC", None)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        return ran
+
+    def steps(self, count, ran, seen):
+        for i in range(count):
+            seen.append(ran[0])
+            yield i
+
+    @pytest.mark.parametrize("count", [40, 5])
+    def test_steps_fill_the_waits(self, cubic_b4, batches_run, count):
+        # 16 batches, each polled twice before it is done: two steps per
+        # batch before it runs, and the steps left over after the last point
+        seen = []
+        two = sim._run_points(
+            cubic_b4, self.POINTS, steps=self.steps(count, batches_run, seen),
+            threads=2, **self.BUDGET)
+        want = ([ran for ran in range(16) for _ in (0, 1)] + [16] * 8)[:count]
+        assert seen == want
+        assert two == sim._run_points(cubic_b4, self.POINTS, threads=1, **self.BUDGET)
+
+    def test_one_worker_runs_every_step_after_the_survey(self, cubic_b4, batches_run):
+        seen = []
+        sim._run_points(cubic_b4, self.POINTS, steps=self.steps(40, batches_run, seen),
+                        threads=1, **self.BUDGET)
+        assert seen == [16] * 40
+
+    def test_steps_run_without_points(self, cubic_b4, batches_run):
+        seen = []
+        assert sim._run_points(cubic_b4, [], steps=self.steps(3, batches_run, seen),
+                               threads=2, **self.BUDGET) == []
+        assert seen == [0, 0, 0]
