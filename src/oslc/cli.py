@@ -24,12 +24,12 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, _checks
 from .codes import GOLAY, BinaryBlockCode
 from .constellations import SCHEMES, build_spec
 from .indoor import RoomConfig, check_survey, osnr_map_rows, survey_ser
 from .selfcheck import run_property_suite
-from .shaping import solve_t_star
+from .shaping import MAX_N, solve_t_star
 from .simulate import ser_sweep
 
 __all__ = ["main"]
@@ -37,10 +37,6 @@ __all__ = ["main"]
 
 # Most points an axis may have; a range is counted before its list is built.
 _MAX_AXIS_POINTS = 1000
-
-# Dimensions ``shaping`` tabulates: above n = 40 its sums run in exact
-# rationals at a cost of about n**3, seconds per alpha at n = 128.
-_SHAPING_DIMS = range(1, 129)
 
 
 def _axis_length(steps, text: str) -> int:
@@ -141,20 +137,6 @@ def _check_out(out: str) -> Path:
     return out
 
 
-def _check_seed(seed: int) -> None:
-    """ValueError unless ``seed`` is at least 0, which is all
-    ``numpy.random.SeedSequence`` takes."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-
-
-def _spec(args):
-    """The design of a ``ser`` or ``indoor`` run; ``--scheme`` has no default."""
-    if args.scheme is None:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got None")
-    return build_spec(args.scheme, args.beta, args.alpha)
-
-
 def _room_from_config(config: dict) -> RoomConfig:
     """The room of the config's ``"room"`` object of RoomConfig fields (the
     default room without one), or ValueError."""
@@ -162,19 +144,13 @@ def _room_from_config(config: dict) -> RoomConfig:
     if not isinstance(overrides, dict):
         raise ValueError(f"room must be a JSON object of room fields, got {overrides!r}")
     try:
-        overrides = dict(overrides)
-        if "lamp_xy" in overrides:
-            overrides["lamp_xy"] = tuple(tuple(xy) for xy in overrides["lamp_xy"])
         return RoomConfig(**overrides)
     except TypeError as exc:
         raise ValueError(f"bad room config: {exc}") from None
 
 
 def _cmd_shaping(args) -> tuple[int, list[Path]]:
-    dims = _parse_int_axis(args.n)
-    for n in dims:
-        if n not in _SHAPING_DIMS:
-            raise ValueError(f"n must lie in 1..{_SHAPING_DIMS[-1]}, got {n}")
+    dims = [_checks.integer("n", n, 1, MAX_N) for n in _parse_int_axis(args.n)]
     alphas = _parse_float_axis(args.alpha)
     rows = []
     for n in dims:
@@ -200,7 +176,7 @@ def _cmd_shaping(args) -> tuple[int, list[Path]]:
 
 def _cmd_ser(args) -> tuple[int, list[Path]]:
     grid = _parse_float_axis(args.osnr)
-    spec = _spec(args)
+    spec = build_spec(args.scheme, args.beta, args.alpha)  # --scheme has no default
     records = ser_sweep(
         spec,
         grid,
@@ -238,7 +214,7 @@ def _cmd_indoor(args) -> tuple[int, list[Path]]:
     room = _room_from_config(args.config)
     check_survey(room, args.positions, args.trials_per_pos, args.threads)
     omap, map_rows = osnr_map_rows(room, args.grid_step, args.alpha)
-    spec = _spec(args)
+    spec = build_spec(args.scheme, args.beta, args.alpha)  # --scheme has no default
 
     # The survey prices the heatmap's rows while its workers run batches.
     survey = survey_ser(
@@ -347,8 +323,9 @@ _COMMANDS = {
                _common("verify.json")),
 }
 
-# What a config entry of each kind must be; a bool is never a number.
-_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+# Each kind's conversion of a config entry (None if it is not one) and name.
+_KINDS = {int: (_checks.as_int, "an integer"), float: (_checks.as_real, "a number"),
+          str: (lambda value: value if isinstance(value, str) else None, "a string")}
 
 
 def _config_value(key: str, kind, value):
@@ -358,10 +335,10 @@ def _config_value(key: str, kind, value):
         if value not in kind:
             raise ValueError(f"{key} must be one of {kind}, got {value!r}")
         return value
-    types, what = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
+    convert, what = _KINDS[kind]
+    if (converted := convert(value)) is None:
         raise ValueError(f"{key} must be {what}, got {value!r}")
-    return kind(value)
+    return converted
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -423,7 +400,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         args.out = _check_out(args.out)
-        _check_seed(args.seed)
+        _checks.integer("seed", args.seed, 0)
         code, outputs = args.func(args)
     except ValueError as exc:
         print(f"oslc: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
+from . import _checks
 from .codes import GOLAY, BinaryBlockCode
 from .lattices import XI, decode_shifted_union_batch, nearest_point_dn_batch
 from .shells import TdIndexer, TdParams, TdSampler, TdSelection
@@ -92,32 +93,18 @@ def _coset_points(d: np.ndarray, c: np.ndarray, a) -> np.ndarray:
     return 4 * d + 2 * c + _SHIFTS[a, d[..., 0] & 1]
 
 
-# Bits per dimension a design may be built at.  At beta = 0 the shaped
-# designs have a single point and no gain; from beta = 10 on, setting up the
-# shaping alphabet (2**(24*beta) points) takes minutes.
-_BETAS = range(1, 9)
-
-
-def _check_beta(beta) -> int:
-    """``beta`` as an int, or ValueError unless it is an integer in _BETAS."""
-    if isinstance(beta, bool) or not isinstance(beta, numbers.Integral) or beta not in _BETAS:
-        raise ValueError(
-            f"beta must be an integer in {_BETAS.start}..{_BETAS.stop - 1}, got {beta!r}"
-        )
-    return int(beta)
+# Most bits per dimension a design may be built at, from 1.  At beta = 0 the
+# shaped designs have a single point and no gain; from beta = 10 on, setting
+# up the shaping alphabet (2**(24*beta) points) takes minutes.
+_MAX_BETA = 8
 
 
 def _as_fraction(alpha) -> Fraction:
-    """Exact intensity target.  Reals that are not rationals (float and the
-    NumPy floats) go through repr(float(alpha)), so 0.2 means 1/5."""
-    if isinstance(alpha, numbers.Real) and not isinstance(alpha, numbers.Rational):
-        x = float(alpha)
-        frac = Fraction(repr(x)) if math.isfinite(x) else None
-    else:
-        frac = Fraction(alpha)
-    if frac is None or not 0 < frac < Fraction(1, 2):
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    return frac
+    """Exact intensity target, once ``_checks.alpha`` takes ``alpha``.  Reals
+    that are not rationals (float and the NumPy floats) go through
+    repr(float(alpha)), so 0.2 means 1/5."""
+    x = _checks.alpha(alpha)
+    return Fraction(alpha) if isinstance(alpha, numbers.Rational) else Fraction(repr(x))
 
 
 @dataclass(frozen=True)
@@ -223,7 +210,7 @@ class ConstellationSpec(ABC):
     def build(cls, beta: int, alpha) -> ConstellationSpec:
         """The design at ``beta`` bits per dimension and intensity target
         ``alpha``; the shaping index takes the bits no other layer does."""
-        beta, alpha = _check_beta(beta), _as_fraction(alpha)
+        beta, alpha = _checks.integer("beta", beta, 1, _MAX_BETA), _as_fraction(alpha)
         k_s = cls.n * beta - cls.k_c - cls.k_a
         choice = determine_params(cls.n, 1 << k_s, alpha, cls._stats, cls._peak_floor)
         return cls(
@@ -414,7 +401,7 @@ class CubicSpec(ConstellationSpec):
 
     @classmethod
     def build(cls, beta: int, alpha) -> CubicSpec:
-        beta, alpha = _check_beta(beta), _as_fraction(alpha)
+        beta, alpha = _checks.integer("beta", beta, 1, _MAX_BETA), _as_fraction(alpha)
         levels = (1 << beta) - 1
         delta = min(Fraction(1), 2 * alpha) / levels
         return cls(
@@ -453,13 +440,9 @@ SCHEMES = tuple(_SPECS)
 
 
 def build_spec(kind: str, beta: int, alpha) -> ConstellationSpec:
-    try:
-        cls = _SPECS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown constellation kind {kind!r}; pick one of {sorted(_SPECS)}"
-        ) from None
-    return cls.build(beta, alpha)
+    if kind not in SCHEMES:  # compared, not hashed: a list is no kind either
+        raise ValueError(f"unknown constellation kind {kind!r}; pick one of {sorted(_SPECS)}")
+    return _SPECS[kind].build(beta, alpha)
 
 
 # -- bit mapping -----------------------------------------------------------

@@ -14,12 +14,12 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from numbers import Integral, Real
 
 import numpy as np
 
+from . import _checks
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, _as_count, _check_run, _point_seeds, _run_points
+from .simulate import SerRecord, _check_run, _point_seeds, _run_points
 
 __all__ = [
     "LinkBudget",
@@ -87,25 +87,26 @@ class RoomConfig:
         # Annotations are strings here (postponed evaluation).  Every float
         # field is a size, angle, current, gain or constant that must be positive.
         for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type != "float":
-                continue
-            if not _is_finite(value):
-                raise ValueError(f"{field.name} must be a finite number, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{field.name} must be positive")
-        if not self.lamp_xy or not all(
-            len(xy) == 2 and all(_is_finite(c) for c in xy) for xy in self.lamp_xy
-        ):
+            if field.type == "float":
+                value = _checks.real(field.name, getattr(self, field.name))
+                if value <= 0:
+                    raise ValueError(f"{field.name} must be positive")
+                object.__setattr__(self, field.name, value)
+        try:
+            lamp_xy = tuple(
+                (_checks.real("lamp_xy", x), _checks.real("lamp_xy", y)) for x, y in self.lamp_xy
+            )
+        except (TypeError, ValueError):  # not pairs, or not finite numbers
+            lamp_xy = ()
+        if not lamp_xy:
             raise ValueError(
                 f"lamp_xy must be one or more finite (x, y) pairs, got {self.lamp_xy!r}"
             )
+        object.__setattr__(self, "lamp_xy", lamp_xy)
         if not isinstance(self.collapse_lamps, bool):
             raise ValueError(f"collapse_lamps must be true or false, got {self.collapse_lamps!r}")
-        if not isinstance(self.chips_per_side, Integral) or self.chips_per_side < 1:
-            raise ValueError(
-                f"chips_per_side must be an integer of at least 1, got {self.chips_per_side!r}"
-            )
+        side = _checks.integer("chips_per_side", self.chips_per_side, 1)
+        object.__setattr__(self, "chips_per_side", side)
         chips = len(self.lamp_xy) * self.chips_per_side ** 2
         if chips > _MAX_CHIPS:
             raise ValueError(
@@ -143,21 +144,6 @@ class RoomConfig:
         chips = chip_positions(self)
         chips.flags.writeable = False
         return chips
-
-
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
-
-
-def _check_alpha(alpha) -> float:
-    """``alpha`` as a float, or ValueError unless it is a real number in
-    (0, 1/2), the dimming ratios every design takes (so NaN fails too)."""
-    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha!r}")
-    return float(alpha)
 
 
 def _check_gains(room: RoomConfig, count: int, what: str) -> None:
@@ -238,10 +224,10 @@ class LinkBudget:
 
 
 def link_budget(room: RoomConfig, pd_xy, alpha: float) -> LinkBudget:
-    """Aggregate gain, noise, and OSNR at one receiver position, for a
-    dimming ratio ``alpha`` in (0, 1/2) (else ValueError)."""
-    alpha = _check_alpha(alpha)
-    x, y = float(pd_xy[0]), float(pd_xy[1])
+    """Aggregate gain, noise, and OSNR at a receiver position of two finite
+    numbers, for a dimming ratio ``alpha`` in (0, 1/2) (else ValueError)."""
+    alpha = _checks.alpha(alpha)
+    x, y = _checks.real("pd_xy", pd_xy[0]), _checks.real("pd_xy", pd_xy[1])
     gains = lambertian_gain(room._chips, (x, y, room.pd_height), room)
     # A collapsed lamp stands in for a full chip array at the lamp center, so
     # it carries the whole array's drive current.
@@ -307,9 +293,11 @@ def osnr_map_rows(
     _MAX_GAINS, since each cell costs one scalar link budget over every
     chip.  ``osnr_db`` holds the priced rows only once the iterator is done.
     """
-    alpha = _check_alpha(alpha)
-    if not (math.isfinite(grid_step) and grid_step > 0):
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
+    alpha = _checks.alpha(alpha)
+    step = _checks.as_real(grid_step)
+    if step is None or step <= 0:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
+    grid_step = step
     half = room.sample_halfwidth
     stop = half + grid_step / 2.0
     # np.arange yields ceil((stop + half) / grid_step) points per side.
@@ -350,16 +338,17 @@ _MAX_POSITIONS = 100_000  # positions and their seeds are drawn up front
 _BATCH_SIZE = 4096  # trials per batch at every position
 
 
-def check_survey(room: RoomConfig, n_positions: int, trials_per_pos: int, threads: int) -> None:
-    """ValueError unless ``survey_ser`` can run these sizes in ``room``:
-    1.._MAX_POSITIONS positions whose link budgets evaluate at most
+def check_survey(room: RoomConfig, n_positions: int, trials_per_pos: int, threads: int) -> tuple:
+    """The sizes as ints, or ValueError unless ``survey_ser`` can run them in
+    ``room``: 1.._MAX_POSITIONS positions whose link budgets evaluate at most
     _MAX_GAINS chip gains, and ``trials_per_pos`` trials per position on
     ``threads`` workers as a run budget that passes ``_check_run``.  Cheap,
     so a caller can check before it computes anything else."""
-    if not 1 <= _as_count("n_positions", n_positions) <= _MAX_POSITIONS:
-        raise ValueError(f"need 1..{_MAX_POSITIONS} positions, got {n_positions}")
+    n_positions = _checks.integer("n_positions", n_positions, 1, _MAX_POSITIONS)
     _check_gains(room, n_positions, "positions")
-    _check_run(None, _as_count("trials_per_pos", trials_per_pos), _BATCH_SIZE, threads)
+    trials_per_pos = _checks.integer("trials_per_pos", trials_per_pos, 1)
+    _check_run(None, trials_per_pos, _BATCH_SIZE, threads)
+    return n_positions, trials_per_pos
 
 
 def survey_ser(
@@ -385,8 +374,9 @@ def survey_ser(
     ``osnr_map_rows``, that ``_run_points`` runs in this process while the
     workers run batches, and otherwise after the last position.
     """
-    check_survey(room, n_positions, trials_per_pos, threads)
-    alpha = _check_alpha(spec.alpha)
+    n_positions, trials_per_pos = check_survey(room, n_positions, trials_per_pos, threads)
+    seed = _checks.integer("seed", seed, 0)
+    alpha = _checks.alpha(spec.alpha)
     pos_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
     half = room.sample_halfwidth
     positions = pos_rng.uniform(-half, half, size=(n_positions, 2))

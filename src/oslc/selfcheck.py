@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import codes, indoor, lattices, shaping, shells, simulate
+from . import _checks, codes, indoor, lattices, shaping, shells, simulate
 from .codes import GOLAY, BinaryBlockCode
 from .constellations import build_cubic_spec, build_oslc_spec, build_tcc_spec
 from .constellations import demap_point, map_bits
@@ -339,9 +339,10 @@ def run_property_suite(code: BinaryBlockCode = GOLAY, seed: int = 0):
     """Run every property check and return a list of PropertyResult.
 
     ``code`` is the block code all code-dependent checks run against; pass a
-    corrupted generator to confirm the suite can fail.
+    corrupted generator to confirm the suite can fail.  ``seed`` is a
+    non-negative integer.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checks.integer("seed", seed, 0))
     # the designs the feasibility, round-trip and average checks share; a
     # build draws nothing from ``rng``
     specs = (build_oslc_spec(2, 0.2), build_tcc_spec(2, 0.2), build_cubic_spec(3, 0.3))

@@ -18,7 +18,7 @@ asymptotics:
     uniforms and its saddlepoint-style approximation.
 
 Everything here is a pure function; gains are in dB via 10*log10 of the
-amplitude ratio.
+amplitude ratio.  Arguments are checked by ``_checks`` (else ValueError).
 """
 
 from __future__ import annotations
@@ -29,7 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _checks
+
 __all__ = [
+    "MAX_N",
     "ShapingSolution",
     "volume",
     "avg_first_moment",
@@ -51,6 +54,10 @@ _DB = 10.0 / math.log(10.0)
 # arithmetic; below it, float64 with compensated summation holds ~1e-12.
 _EXACT_N = 40
 
+# Largest n of the functions whose cost grows with n, about n**3 in exact
+# rationals: seconds per alpha at n = 128.  The closed forms take any n.
+MAX_N = 128
+
 
 @dataclass(frozen=True)
 class ShapingSolution:
@@ -69,16 +76,6 @@ class ShapingSolution:
     mu_star: float
     t_star_approx: float
     sg_db_approx: float
-
-
-def _check_dim(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha!r}")
 
 
 @lru_cache(maxsize=None)
@@ -118,9 +115,8 @@ def volume(n: int, t: float) -> float:
     half via the reflection V_n(t) = 1 - V_n(n - t); the raw sum loses
     several digits to cancellation there.
     """
-    _check_dim(n)
-    if not 0.0 <= t <= n:
-        raise ValueError(f"t must lie in [0, {n}], got {t!r}")
+    n = _checks.integer("n", n, 1, MAX_N)
+    t = _checks.real("t", t, 0, n)
     if n > _EXACT_N:
         return float(_alternating_exact(n, Fraction(t), n))
     return _volume(n, t)
@@ -152,10 +148,8 @@ def avg_first_moment(n: int, t: float) -> float:
     P_n(t) = (t - J(t)/V(t)) / n where J is the running integral of V (so
     J' = V, integration by parts folds the density into one more power).
     """
-    _check_dim(n)
-    if not 0.0 < t <= n:
-        raise ValueError(f"t must lie in (0, {n}], got {t!r}")
-    return _avg_first_moment(n, t)
+    n = _checks.integer("n", n, 1, MAX_N)
+    return _avg_first_moment(n, _checks.real("t", t, 0, n))  # ValueError at t = 0 too
 
 
 def _avg_first_moment(n: int, t: float) -> float:
@@ -187,7 +181,7 @@ def kernel_k(s: float) -> float:
 
 def solve_s_x(x: float) -> float:
     """Inverse of kernel_k on (1/2, 1): the tilt s_x with K(s_x) = x."""
-    if not 0.5 < x < 1.0:
+    if not 0.5 < _checks.real("x", x) < 1.0:
         raise ValueError(f"x must lie in (1/2, 1), got {x!r}")
     lo, hi = 0.0, 2.0 / (1.0 - x) + 10.0
     for _ in range(200):
@@ -209,7 +203,7 @@ def solve_mu_star(alpha: float) -> float:
     Residual below 1e-12 across (0, 1/2).  Below alpha ~ 1.1e-16, 1 - alpha
     rounds to 1, outside solve_s_x's domain, and a ValueError names alpha.
     """
-    _check_alpha(alpha)
+    alpha = _checks.alpha(alpha)
     if 1.0 - alpha == 1.0:
         raise ValueError(f"alpha is too small: 1 - alpha rounds to 1 at alpha={alpha!r}")
     return solve_s_x(1.0 - alpha)
@@ -224,8 +218,8 @@ def solve_t_star(n: int, alpha: float) -> ShapingSolution:
     is 10*log10 of volume^{1/n} / (2*alpha): the per-dimension edge of the
     shaped region against the unshaped segment [0, 2*alpha].
     """
-    _check_dim(n)
-    _check_alpha(alpha)
+    n = _checks.integer("n", n, 1, MAX_N)
+    alpha = _checks.alpha(alpha)
     if alpha <= 1.0 / (n + 1):
         t_star = (n + 1) * alpha
         vol = volume(n, t_star)
@@ -284,7 +278,7 @@ def second_order_sg_db(n: int, alpha: float) -> float:
     that form, as the sum of -mu* + ... cancels in float64 at both ends of
     (0, 1/2).
     """
-    _check_dim(n)
+    n = _checks.integer("n", n, 1)
     return _second_order_sg_db(n, alpha, solve_mu_star(alpha))
 
 
@@ -325,10 +319,8 @@ def irwin_hall_tail(n: int, x: float) -> float:
     Computed exactly (up to final rounding) through the complementary-volume
     identity G_n(x) = V_n(n(1-x)).
     """
-    _check_dim(n)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    return volume(n, n * (1.0 - x))
+    n = _checks.integer("n", n, 1, MAX_N)
+    return volume(n, n * (1.0 - _checks.real("x", x, 0, 1)))
 
 
 def mgf_log(s: float) -> float:
@@ -362,7 +354,5 @@ def ld_tail_approx(n: int, x: float) -> float:
 
     The relative error vanishes as n grows (tested against the exact tail).
     """
-    _check_dim(n)
-    if not 0.5 < x < 1.0:
-        raise ValueError(f"x must lie in (1/2, 1), got {x!r}")
+    n = _checks.integer("n", n, 1)
     return math.exp(n * ld_rate(x)) / (math.sqrt(2.0 * math.pi * n) * ld_dispersion(x))

@@ -35,9 +35,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import comb
-from operator import add, index as as_index, mul, sub
+from operator import add, mul, sub
 
 import numpy as np
+
+from . import _checks
 
 __all__ = [
     "TdParams",
@@ -113,15 +115,13 @@ class TdIndexer:
 
     Canonical order sorts points by ell-1 norm (coordinate sum) first and
     lexicographically within a shell.  Index 0 is always the origin.
-    ``count`` is the cardinality of TD(n, H, 2L).
+    ``count`` is the cardinality of TD(n, H, 2L), for integers n >= 1, H, L >= 0.
     """
 
     def __init__(self, n: int, h: int, l: int):
-        if n < 1 or h < 0 or l < 0:
-            raise ValueError("need n >= 1, h >= 0, l >= 0")
-        self.n = n
-        self.h = h
-        self.l = l
+        self.n = n = _checks.integer("n", n, 1)
+        self.h = h = _checks.integer("h", h, 0)
+        self.l = l = _checks.integer("l", l, 0)
         self.smax = min(2 * l, n * h)
         # Largest even coordinate sum actually admissible.
         if self.smax % 2 == 1:
@@ -156,14 +156,17 @@ class TdIndexer:
         return [c[s + 1] - x for x in c[s - k:s + 1][::-1]]
 
     def shell_of(self, index: int) -> tuple[int, int]:
-        """Return (shell sum s, rank inside the shell) for a global index."""
-        index = as_index(index)
-        if not 0 <= index < self.count:
-            raise IndexError(f"index {index} out of range for {self.count} points")
-        k = bisect.bisect_right(self.shell_cum, index)
+        """Return (shell sum s, rank inside the shell) for a global index:
+        an integer (else TypeError) below ``count`` (else IndexError)."""
+        i = _checks.as_int(index)
+        if i is None:
+            raise TypeError(f"index must be an integer, got {index!r}")
+        if not 0 <= i < self.count:
+            raise IndexError(f"index {i} out of range for {self.count} points")
+        k = bisect.bisect_right(self.shell_cum, i)
         s = 2 * k
         before = self.shell_cum[k - 1] if k > 0 else 0
-        return s, index - before
+        return s, i - before
 
     # -- rank / unrank ----------------------------------------------------
 

@@ -23,7 +23,6 @@ other work the caller hands it, such as the rows of an indoor heatmap.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import warnings
 from collections import deque
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .constellations import ConstellationSpec, CubicSpec
 
 # Unused here, but kept: bench/test_harness.py checks that the span tracer
@@ -165,30 +165,18 @@ def _pool_run(task: tuple[float, int, int, int]) -> int:
 _MAX_BATCH_SIZE = 65_536
 
 
-def _as_count(name: str, value) -> int:
-    """``value`` as an int, or ValueError naming ``name`` unless it is an
-    integer (``operator.index`` takes it) and not a bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_run(target_errors: int | None, max_trials: int, batch_size: int, threads: int) -> None:
-    """ValueError unless the run budget is one a point can spend, each count
-    an integer: an error target of None or at least 1, at least one trial, a
-    batch size in 1.._MAX_BATCH_SIZE and at least one worker.  Run before
-    any pool opens."""
-    if target_errors is not None and _as_count("target_errors", target_errors) < 1:
-        raise ValueError("target_errors must be positive (or None)")
-    if _as_count("max_trials", max_trials) < 1:
-        raise ValueError("max_trials must be positive")
-    if not 1 <= _as_count("batch_size", batch_size) <= _MAX_BATCH_SIZE:
+def _check_run(target_errors: int | None, max_trials: int, batch_size: int, threads: int) -> tuple:
+    """The run budget as ints, or ValueError unless it is one a point can
+    spend, each count an integer: an error target of None or at least 1, at
+    least one trial, a batch size in 1.._MAX_BATCH_SIZE and at least one
+    worker.  Run before any pool opens."""
+    if target_errors is not None:
+        target_errors = _checks.integer("target_errors", target_errors, 1)
+    max_trials = _checks.integer("max_trials", max_trials, 1)
+    batch_size = _checks.integer("batch_size", batch_size)
+    if not 1 <= batch_size <= _MAX_BATCH_SIZE:
         raise ValueError(f"batch_size must be in 1..{_MAX_BATCH_SIZE}, got {batch_size}")
-    if _as_count("threads", threads) < 1:
-        raise ValueError("threads must be at least 1")
+    return target_errors, max_trials, batch_size, _checks.integer("threads", threads, 1)
 
 
 @contextmanager
@@ -215,14 +203,6 @@ def _worker_pool(spec: ConstellationSpec, threads: int):
 _OSNR_DB = (-100.0, 300.0)
 
 
-def _check_osnr_db(osnr_db: float) -> None:
-    """ValueError unless ``osnr_db`` lies in _OSNR_DB (so NaN fails too)."""
-    if not _OSNR_DB[0] <= osnr_db <= _OSNR_DB[1]:
-        raise ValueError(
-            f"osnr_db must lie in [{_OSNR_DB[0]}, {_OSNR_DB[1]}] dB, got {osnr_db}"
-        )
-
-
 # What next() returns from an exhausted iterator of steps.
 _DONE = object()
 
@@ -240,8 +220,8 @@ def simulate_ser(
     steps: Iterable = (),
 ) -> SerRecord:
     """Estimate the symbol error rate at one operating point, ``osnr_db``
-    in _OSNR_DB, with a run budget that passes ``_check_run`` (else
-    ValueError).
+    a real number in _OSNR_DB, with a non-negative integer ``seed`` and a run
+    budget that passes ``_check_run`` (else ValueError).
 
     Runs batches until the committed error count reaches target_errors (if
     set) or the committed trial count reaches max_trials.  The committed
@@ -258,8 +238,11 @@ def simulate_ser(
     whenever the oldest batch in flight on a pool is not yet done, the loop
     takes one step and then looks again.  At one worker no step runs here.
     """
-    _check_osnr_db(osnr_db)
-    _check_run(target_errors, max_trials, batch_size, threads)
+    osnr_db = _checks.real("osnr_db", osnr_db, *_OSNR_DB, unit=" dB")
+    seed = _checks.integer("seed", seed, 0)
+    target_errors, max_trials, batch_size, threads = _check_run(
+        target_errors, max_trials, batch_size, threads
+    )
     sigma = float(osnr_to_sigma(osnr_db))
 
     steps = iter(steps)
@@ -291,7 +274,7 @@ def simulate_ser(
     lo, hi = wilson_interval(errors, trials)
     ub = union_bound_ser(spec, osnr_db) if spec.kissing is not None else None
     return SerRecord(
-        osnr_db=float(osnr_db),
+        osnr_db=osnr_db,
         trials=trials,
         errors=errors,
         ser=ser,
@@ -318,10 +301,10 @@ def _run_points(
     pool's workers (see ``simulate_ser``); the steps left over run after the
     last point, so all of them have run when this returns."""
     for osnr, _ in points:
-        _check_osnr_db(osnr)
-    _check_run(**budget)
+        _checks.real("osnr_db", osnr, *_OSNR_DB, unit=" dB")
+    threads = _check_run(**budget)[3]
     steps = iter(steps)
-    with _worker_pool(spec, budget["threads"]) as workers:
+    with _worker_pool(spec, threads) as workers:
         records = [
             simulate_ser(spec, osnr, seed=seed, workers=workers, steps=steps, **budget)
             for osnr, seed in points
@@ -341,14 +324,16 @@ def ser_sweep(
     batch_size: int = 4096,
     threads: int = 1,
 ) -> list[SerRecord]:
-    """simulate_ser over a grid, with per-point seeds derived from ``seed``;
-    every point and the run budget are checked before the first runs.
+    """simulate_ser over a grid, with per-point seeds derived from the
+    non-negative integer ``seed``; every point and the run budget are checked
+    before the first runs.
 
     SER should fall as OSNR rises; a rise between consecutive grid points
     whose confidence intervals do not even overlap is reported as a warning
     (never an error, since the estimates are noisy by nature).
     """
-    grid = [float(v) for v in np.atleast_1d(np.asarray(osnr_grid, dtype=np.float64))]
+    grid = np.atleast_1d(osnr_grid).tolist()
+    seed = _checks.integer("seed", seed, 0)
     records = _run_points(
         spec,
         list(zip(grid, _point_seeds(seed, len(grid)))),

@@ -3,12 +3,22 @@ from concurrent.futures import Future
 import hypothesis
 import pytest
 
-from oslc import simulate
+from oslc import indoor, simulate
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=60, print_blob=True
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture
+def fail_if_priced(monkeypatch):
+    """Make building a chip grid or a link budget fail the test."""
+    def fail(*args):
+        raise AssertionError("priced before the work was checked")
+
+    monkeypatch.setattr(indoor, "chip_positions", fail)
+    monkeypatch.setattr(indoor, "link_budget", fail)
 
 
 @pytest.fixture

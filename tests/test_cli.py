@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oslc
-from oslc import cli, indoor, lattices, selfcheck, shaping, simulate
+from oslc import cli, lattices, selfcheck, shaping, simulate
 from oslc.cli import main
 from oslc.codes import GOLAY, BinaryBlockCode
 
@@ -169,12 +169,9 @@ class TestIndoorCommand:
         ("--positions", "1000000000000"), ("--positions", "0"),
         ("--trials-per-pos", "0"), ("--threads", "0"),
     ])
-    def test_bad_survey_size_exits_before_the_heatmap(self, tmp_path, monkeypatch, capsys, flags):
+    def test_bad_survey_size_exits_before_the_heatmap(self, tmp_path, fail_if_priced, capsys,
+                                                      flags):
         # The heatmap at a 0.01 m step is 160,801 link budgets; none may run.
-        def no_link_budget(*args):
-            raise AssertionError("link budget computed before the survey sizes were checked")
-
-        monkeypatch.setattr(indoor, "link_budget", no_link_budget)
         out = tmp_path / "indoor.csv"
         argv = ["indoor", "--scheme", "cubic", "--beta", "2", "--grid-step", "0.01",
                 "--out", str(out), *flags]
@@ -182,11 +179,7 @@ class TestIndoorCommand:
         assert capsys.readouterr().err.startswith("oslc: ")
         assert not out.exists()
 
-    def test_oversized_room_exits_2(self, tmp_path, monkeypatch, capsys):
-        def no_chips(room):
-            raise AssertionError("chips allocated before the room was checked")
-
-        monkeypatch.setattr(indoor, "chip_positions", no_chips)
+    def test_oversized_room_exits_2(self, tmp_path, fail_if_priced, capsys):
         cfg = tmp_path / "room.json"
         cfg.write_text(json.dumps({"room": {"chips_per_side": 100_000}}), encoding="utf-8")
         out = tmp_path / "indoor.csv"
@@ -238,13 +231,8 @@ class TestIndoorCommand:
         (("--grid-step", "0.1"), "heatmap cells x chips must be at most 50000000, got 1681 x 99856"),
         (("--positions", "501"), "positions x chips must be at most 50000000, got 501 x 99856"),
     ])
-    def test_work_bound_exits_2(self, tmp_path, monkeypatch, capsys, flags, message):
+    def test_work_bound_exits_2(self, tmp_path, fail_if_priced, capsys, flags, message):
         # In a room of 99,856 chips, neither the grid nor the chips are built.
-        def fail(*args):
-            raise AssertionError("priced before the work was checked")
-
-        monkeypatch.setattr(indoor, "chip_positions", fail)
-        monkeypatch.setattr(indoor, "link_budget", fail)
         cfg = tmp_path / "room.json"
         cfg.write_text(json.dumps({"room": {"chips_per_side": 158}}), encoding="utf-8")
         out = tmp_path / "indoor.csv"
@@ -308,6 +296,12 @@ class TestVerifyCommand:
         assert report["n_failed"] == 0
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("[PASS]") for line in lines) == report["n_checks"]
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_seed_is_checked_before_any_check(self, seed):
+        # -1 failed inside NumPy without naming the seed, and True ran as 1
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            selfcheck.run_property_suite(seed=seed)
 
     def test_skipped_parity_repair_is_caught(self, monkeypatch):
         # No-op the half-lattice decoder's parity repair (its step is 2; the

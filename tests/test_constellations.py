@@ -443,6 +443,8 @@ class TestDispatchAndExport:
         assert con.build_spec("cubic", 2, 0.2).kind == "cubic"
         with pytest.raises(ValueError):
             con.build_spec("qam", 2, 0.2)
+        with pytest.raises(ValueError, match="unknown constellation kind"):
+            con.build_spec(["oslc"], 2, 0.2)  # a TypeError when it was a dict key
 
     def test_alpha_domain_enforced(self):
         with pytest.raises(ValueError):
@@ -454,6 +456,12 @@ class TestDispatchAndExport:
         for bad in (np.inf, -np.inf, np.nan, np.float64(np.inf), np.float32(0.5)):
             with pytest.raises(ValueError, match="alpha must lie in"):
                 con.build_oslc_spec(2, bad)
+        # a string is not a number, though Fraction would parse it
+        for kind in con.SCHEMES:
+            for bad in ("0.2", "1/5", None, True):
+                with pytest.raises(ValueError, match="alpha must lie in"):
+                    con.build_spec(kind, 2, bad)
+        assert con.build_spec("tcc", 2, Fraction(1, 5)).alpha == Fraction(1, 5)
         want = con.build_spec("oslc", 2, 0.2)
         got = con.build_spec("oslc", 2, np.float64(0.2))
         assert got.alpha == want.alpha == Fraction(1, 5)

@@ -1,5 +1,6 @@
 """Tests for the indoor Lambertian room model and position-averaged SER."""
 
+import json
 import math
 import os
 from fractions import Fraction
@@ -50,15 +51,6 @@ ORACLE_ROOMS = {
     "fov30": RoomConfig(fov_deg=30.0),
     "6400chips": RoomConfig(chips_per_side=40),
 }
-
-
-def fail_if_priced(monkeypatch):
-    """Make building a chip grid or a link budget fail the test."""
-    def fail(*args):
-        raise AssertionError("priced before the work was checked")
-
-    monkeypatch.setattr(indoor, "chip_positions", fail)
-    monkeypatch.setattr(indoor, "link_budget", fail)
 
 
 class TestGeometry:
@@ -147,6 +139,14 @@ class TestRoomValidation:
             ({"chips_per_side": 0}, "chips_per_side must be an integer of at least 1"),
             ({"chips_per_side": -3}, "chips_per_side must be an integer of at least 1"),
             ({"chips_per_side": 2.5}, "chips_per_side must be an integer of at least 1"),
+            # a bool was taken as 1 chip, a 1 m lamp height and a lamp at x = 1
+            ({"chips_per_side": True}, "chips_per_side must be an integer of at least 1"),
+            ({"lamp_height": True}, "lamp_height must be a finite number"),
+            ({"lamp_height": 10**400}, "lamp_height must be a finite number"),
+            ({"lamp_xy": ((True, 0),)}, "lamp_xy must be one or more finite"),
+            ({"lamp_xy": 5}, "lamp_xy must be one or more finite"),
+            ({"lamp_xy": [5]}, "lamp_xy must be one or more finite"),
+            ({"lamp_xy": ["ab"]}, "lamp_xy must be one or more finite"),
             # a truthy string would collapse the lamps
             ({"collapse_lamps": "no"}, "collapse_lamps must be true or false"),
             ({"collapse_lamps": 1}, "collapse_lamps must be true or false"),
@@ -168,6 +168,16 @@ class TestRoomValidation:
 
     def test_chip_bound_admits_100000(self):
         assert len(RoomConfig(chips_per_side=158)._chips) == 99_856
+
+    def test_fields_are_stored_as_checked(self):
+        # a list of lists stayed mutable inside the frozen room
+        room = RoomConfig(lamp_xy=[[0, 1], np.array([2.5, -1])], chips_per_side=np.int64(3),
+                          lamp_height=3)
+        assert room.lamp_xy == ((0.0, 1.0), (2.5, -1.0))
+        assert {type(c) for xy in room.lamp_xy for c in xy} == {float}
+        assert type(room.chips_per_side) is int and type(room.lamp_height) is float
+        corners = [[-1.6, -1.6], [-1.6, 1.6], [1.6, -1.6], [1.6, 1.6]]
+        assert RoomConfig(lamp_xy=corners) == RoomConfig()
 
 
 class TestLinkBudget:
@@ -219,6 +229,12 @@ class TestLinkBudget:
         # NaN gave osnr_db = nan, and a negative alpha a bare math domain error
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\)"):
             link_budget(room, (0.0, 0.0), alpha)
+
+    @pytest.mark.parametrize("xy", [(math.nan, 0.0), (0.0, math.inf), (True, 0.0), ("1", 0.0)])
+    def test_position_must_be_finite(self, room, xy):
+        # NaN gave osnr_db = -inf, as if the position had no light
+        with pytest.raises(ValueError, match="pd_xy must be a finite number"):
+            link_budget(room, xy, 0.3)
 
     def test_alpha_of_any_real_kind(self, room):
         want = link_budget(room, (0.5, -0.5), 0.3)
@@ -288,12 +304,9 @@ class TestOsnrMap:
         assert fresh.flags.writeable and fresh is not cached
         assert np.array_equal(fresh, cached)
 
-    def test_grid_step_validated(self, room, monkeypatch):
-        def no_budget(*args):
-            raise AssertionError("link_budget ran before the grid was checked")
-
-        monkeypatch.setattr(indoor, "link_budget", no_budget)
-        for step in (0.0, -0.5, math.nan, math.inf):
+    def test_grid_step_validated(self, room, fail_if_priced):
+        # a bool priced a 1 m grid, and a string raised TypeError
+        for step in (0.0, -0.5, math.nan, math.inf, True, "0.5", None):
             with pytest.raises(ValueError, match="positive and finite"):
                 indoor.osnr_map(room, step, 0.3)
         # 0.0099 m gives 406 points per side over the 4 m floor; 401 is the cap
@@ -321,15 +334,13 @@ class TestOsnrMap:
             assert np.isneginf(got[-1]).any() and np.isfinite(got[-1]).any()
 
     @pytest.mark.parametrize("alpha", [math.nan, -5.0, 0.5, None])
-    def test_alpha_checked_before_any_cell(self, room, monkeypatch, alpha):
-        fail_if_priced(monkeypatch)
+    def test_alpha_checked_before_any_cell(self, room, fail_if_priced, alpha):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\)"):
             indoor.osnr_map(room, 1.0, alpha)
 
 
 class TestOsnrMapRows:
-    def test_checks_run_before_the_first_row(self, room, monkeypatch):
-        fail_if_priced(monkeypatch)
+    def test_checks_run_before_the_first_row(self, room, fail_if_priced):
         for step, alpha in ((0.0, 0.3), (0.001, 0.3), (0.5, math.nan)):
             with pytest.raises(ValueError):
                 indoor.osnr_map_rows(room, step, alpha)
@@ -354,8 +365,7 @@ class TestWorkBound:
     # 158 x 158 chips per lamp, 99,856 in all: the largest room accepted
     BIG = {"chips_per_side": 158}
 
-    def test_heatmap_cells_times_chips(self, monkeypatch):
-        fail_if_priced(monkeypatch)
+    def test_heatmap_cells_times_chips(self, fail_if_priced):
         room = RoomConfig(**self.BIG)
         with pytest.raises(
             ValueError,
@@ -366,8 +376,7 @@ class TestWorkBound:
         # collapsed, the same room has 4 chips
         indoor.osnr_map_rows(RoomConfig(**self.BIG, collapse_lamps=True), 0.01, 0.3)
 
-    def test_survey_positions_times_chips(self, monkeypatch):
-        fail_if_priced(monkeypatch)
+    def test_survey_positions_times_chips(self, fail_if_priced):
         room = RoomConfig(**self.BIG)
         spec = con.build_cubic_spec(2, 0.2)
         with pytest.raises(
@@ -430,6 +439,21 @@ class TestSurvey:
             kwargs = {"n_positions": 2, "trials_per_pos": 10, key: value}
             with pytest.raises(ValueError, match=f"{key} must be an integer"):
                 indoor.survey_ser(room, spec, **kwargs)
+        # -1 failed inside NumPy without naming the seed
+        for seed in (-1, True, 1.0):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                indoor.survey_ser(room, spec, n_positions=2, trials_per_pos=10, seed=seed)
+
+    def test_numpy_integer_sizes_give_python_ints(self, room):
+        # an int64 trial count came back as the survey's total, which
+        # json.dumps rejects
+        spec = con.build_cubic_spec(2, 0.2)
+        s = indoor.survey_ser(room, spec, n_positions=np.int64(2),
+                              trials_per_pos=np.int64(10), seed=np.int64(4))
+        assert type(s.trials) is int
+        json.dumps({"trials": s.trials, "errors": s.errors})
+        want = indoor.survey_ser(room, spec, n_positions=2, trials_per_pos=10, seed=4)
+        assert s.records == want.records
 
     def test_worker_budget_checked_without_coverage(self):
         # no position has optical gain, so simulate_ser never runs

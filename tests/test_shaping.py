@@ -107,13 +107,37 @@ class TestSolveTStar:
             0.3, abs=1e-10
         )
 
-    def test_domain_errors(self):
+    def test_domain_errors(self, monkeypatch):
         with pytest.raises(ValueError):
             shaping.solve_t_star(8, 0.0)
         with pytest.raises(ValueError):
             shaping.solve_t_star(8, 0.5)
         with pytest.raises(ValueError):
             shaping.solve_t_star(0, 0.2)
+        # n = True ran as n = 1, n = 1024 summed for 73 s, and a string alpha
+        # raised TypeError; each now fails before any sum
+        def no_sum(*args):
+            raise AssertionError("summed before the arguments were checked")
+
+        monkeypatch.setattr(shaping, "_alternating_sum", no_sum)
+        monkeypatch.setattr(shaping, "_alternating_exact", no_sum)
+        for n, alpha in ((True, 0.2), (24.0, 0.2), (129, 0.2), (1024, 0.2),
+                         (24, "0.2"), (24, True), (24, None)):
+            with pytest.raises(ValueError, match="n must be an integer in 1..128|alpha must"):
+                shaping.solve_t_star(n, alpha)
+
+    def test_cap_binds_only_where_the_cost_grows_with_n(self):
+        for f, x in ((shaping.volume, 1.0), (shaping.avg_first_moment, 1.0),
+                     (shaping.irwin_hall_tail, 0.5)):
+            with pytest.raises(ValueError, match=r"n must be an integer in 1..128, got 129"):
+                f(129, x)
+        assert shaping.volume(np.int64(128), 128.0) == 1.0
+        assert math.isfinite(shaping.ld_tail_approx(10**6, 0.7))
+
+    def test_numpy_integer_dimension(self):
+        # int64 n was refused while build_spec took an int64 beta
+        assert shaping.solve_t_star(np.int64(24), 0.2) == shaping.solve_t_star(24, 0.2)
+        assert type(shaping.solve_t_star(np.int64(24), 0.2).n) is int
 
     def test_gain_nondecreasing_in_dimension(self):
         for alpha in (0.2, 0.3):

@@ -115,6 +115,18 @@ class TestCounting:
         # spot parity identity: doubling H on a full box doubles per-axis
         full = TdIndexer(6, 7, 21).count
         assert full == 8**6 // 2
+        # NumPy sizes are taken as Python ints: int64 arithmetic wrapped to
+        # 5450365445577719537 here
+        wide = TdIndexer(np.int64(24), np.int64(20), np.int64(200))
+        assert wide.count == TdIndexer(24, 20, 200).count == 27054099114377025849494461502993
+        assert type(wide.n) is type(wide.count) is int
+
+    @pytest.mark.parametrize("sizes", [(True, 1, 1), (2.0, 1, 1), (2, 1.5, 1), (2, 1, "1"),
+                                       (0, 1, 1), (2, -1, 1), (2, 1, -1)])
+    def test_sizes_must_be_integers(self, sizes):
+        # n = True ran as n = 1
+        with pytest.raises(ValueError, match=r"(n|h|l) must be"):
+            TdIndexer(*sizes)
 
 
 class TestRankUnrank:

@@ -227,6 +227,29 @@ class TestSimulateSer:
         with pytest.raises(ValueError, match="osnr_db"):
             sim.ser_sweep(cubic_b2, [osnr])
 
+    @pytest.mark.parametrize("osnr", ["20", True, None, pytest.param(10**400, id="10**400")])
+    def test_rejects_osnr_that_is_not_a_finite_number(self, cubic_b2, osnr):
+        # a string raised TypeError, and True ran at 1 dB
+        with pytest.raises(ValueError, match="osnr_db must be a finite number"):
+            sim.simulate_ser(cubic_b2, osnr, max_trials=64)
+        with pytest.raises(ValueError, match="osnr_db must be a finite number"):
+            sim.ser_sweep(cubic_b2, [osnr], max_trials=64)
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "1", None])
+    def test_seed_is_a_non_negative_integer(self, cubic_b2, inline_pools, seed):
+        # -1 failed inside NumPy without naming the seed, and True ran as 1
+        for run in (sim.simulate_ser, lambda spec, osnr, **k: sim.ser_sweep(spec, [osnr], **k)):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                run(cubic_b2, 20.0, seed=seed, max_trials=64, threads=2)
+        assert inline_pools == []
+
+    def test_numpy_integers_give_python_int_counts(self, cubic_b2):
+        args = dict(target_errors=None, max_trials=np.int64(300), batch_size=np.int64(128))
+        rec = sim.simulate_ser(cubic_b2, 12.0, seed=np.uint32(3), **args)
+        assert rec == sim.simulate_ser(cubic_b2, 12.0, seed=3, target_errors=None,
+                                       max_trials=300, batch_size=128)
+        assert type(rec.trials) is type(rec.seed) is int
+
     @pytest.mark.parametrize("osnr", [-1000.0, -100.5, 300.5, 3200.0, 1e308])
     def test_rejects_osnr_outside_range(self, cubic_b2, osnr):
         with pytest.raises(ValueError, match=r"osnr_db must lie in \[-100.0, 300.0\]"):
