@@ -30,7 +30,7 @@ from .constellations import SCHEMES, build_spec
 from .indoor import RoomConfig, check_survey, osnr_map_rows, survey_ser
 from .selfcheck import run_property_suite
 from .shaping import MAX_N, solve_t_star
-from .simulate import ser_sweep
+from .simulate import _BATCH_SIZE, ser_sweep
 
 __all__ = ["main"]
 
@@ -310,7 +310,7 @@ _COMMANDS = {
         ("osnr", str, "24:29:1", "grid in dB, e.g. 24:29:0.5 or 25,26"),
         ("target_errors", int, 100, "errors at which a point stops"),
         ("max_trials", int, 20_000_000, "trials at which a point stops"),
-        ("batch_size", int, 4096, "trials per batch"),
+        ("batch_size", int, _BATCH_SIZE, "trials per batch"),
     )),
     "indoor": (_cmd_indoor, "room OSNR heatmap and position-averaged error survey", (
         *_common("indoor.csv"),

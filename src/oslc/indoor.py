@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import _checks
 from .constellations import ConstellationSpec
-from .simulate import SerRecord, _check_run, _point_seeds, _run_points
+from .simulate import _BATCH_SIZE, SerRecord, _check_run, _point_seeds, _run_points
 
 __all__ = [
+    "ELECTRON_CHARGE",
     "LinkBudget",
     "OsnrMap",
     "RoomConfig",
@@ -45,6 +46,17 @@ _MAX_CHIPS = 100_000
 # The default room's 0.01 m heatmap is 160,801 cells x 196 chips.
 _MAX_GAINS = 50_000_000
 
+ELECTRON_CHARGE = 1.602176634e-19  # coulombs, exact in the SI
+
+# A lamp's or receiver's x or y.  Every heatmap cell lies within three
+# sample_halfwidths, at most 300 m, of the room's centre.
+_XY = (-1e3, 1e3, " m")
+
+
+def _ranged(default: float, lo: float, hi: float, unit: str = ""):
+    """A float field of ``RoomConfig`` that it accepts only in [lo, hi]."""
+    return field(default=default, metadata={"range": (lo, hi, unit)})
+
 
 @dataclass(frozen=True)
 class RoomConfig:
@@ -54,53 +66,48 @@ class RoomConfig:
     of 22 calibrates the room-center OSNR to about 25.4 dB (equivalent to a
     220 MHz effective noise bandwidth in place of the nominal 10 MHz); set it
     to 1.0 for the raw two-sided shot-noise formula.
+
+    Each float field declares its physical range (else ValueError).  Within
+    them and _XY, every link budget is finite, or -inf where no light arrives.
     """
 
-    lamp_xy: tuple[tuple[float, float], ...] = (
-        (-1.6, -1.6),
-        (-1.6, 1.6),
-        (1.6, -1.6),
-        (1.6, 1.6),
-    )
-    lamp_height: float = 3.0
-    chips_per_side: int = 7          # 7 x 7 emitters per lamp
-    chip_pitch: float = 0.01         # meters between neighboring chips
-    pd_height: float = 0.6
-    current_min: float = 0.4         # amperes
-    current_max: float = 0.6
-    semi_angle_deg: float = 60.0     # emitter half-power angle
-    eo_gain: float = 0.45            # watts of optical power per ampere
-    detector_area: float = 1e-4      # square meters
-    filter_gain: float = 1.0
-    refractive_index: float = 1.5
-    responsivity: float = 0.4        # amperes per watt
-    fov_deg: float = 60.0
-    bandwidth: float = 1e7           # hertz
-    noise_factor: float = 0.562      # noise-bandwidth shape factor
-    background_current: float = 1e-4 # amperes
-    electron_charge: float = 1.602176634e-19
-    noise_scale: float = 22.0
-    sample_halfwidth: float = 2.0    # receiver placement range (floor = 2.0)
+    lamp_xy: tuple[tuple[float, float], ...] = ((-1.6, -1.6), (-1.6, 1.6), (1.6, -1.6), (1.6, 1.6))
+    lamp_height: float = _ranged(3.0, 0.1, 100.0, " m")
+    chips_per_side: int = 7                                    # 7 x 7 emitters per lamp
+    chip_pitch: float = _ranged(0.01, 1e-4, 1.0, " m")         # between neighboring chips
+    pd_height: float = _ranged(0.6, 0.0, 100.0, " m")
+    current_min: float = _ranged(0.4, 0.0, 100.0, " A")
+    current_max: float = _ranged(0.6, 0.0, 100.0, " A")
+    semi_angle_deg: float = _ranged(60.0, 1.0, 89.0, " deg")   # emitter half-power angle
+    eo_gain: float = _ranged(0.45, 1e-3, 10.0, " W/A")         # optical watts per ampere
+    detector_area: float = _ranged(1e-4, 1e-9, 1.0, " m^2")
+    filter_gain: float = _ranged(1.0, 1e-3, 1.0)               # optical filter transmittance
+    refractive_index: float = _ranged(1.5, 1.0, 5.0)           # of the concentrator
+    responsivity: float = _ranged(0.4, 1e-3, 10.0, " A/W")
+    fov_deg: float = _ranged(60.0, 1.0, 89.0, " deg")
+    bandwidth: float = _ranged(1e7, 1.0, 1e12, " Hz")
+    noise_factor: float = _ranged(0.562, 0.01, 10.0)           # noise-bandwidth shape factor
+    background_current: float = _ranged(1e-4, 1e-12, 1.0, " A")
+    noise_scale: float = _ranged(22.0, 1e-3, 1e3)
+    sample_halfwidth: float = _ranged(2.0, 0.01, 100.0, " m")  # receiver placement range
     collapse_lamps: bool = False     # treat each lamp as one point source
 
     def __post_init__(self):
-        # Annotations are strings here (postponed evaluation).  Every float
-        # field is a size, angle, current, gain or constant that must be positive.
-        for field in fields(self):
-            if field.type == "float":
-                value = _checks.real(field.name, getattr(self, field.name))
-                if value <= 0:
-                    raise ValueError(f"{field.name} must be positive")
-                object.__setattr__(self, field.name, value)
+        for f in fields(self):
+            if "range" in f.metadata:
+                value = _checks.real(f.name, getattr(self, f.name), *f.metadata["range"])
+                object.__setattr__(self, f.name, value)
         try:
             lamp_xy = tuple(
-                (_checks.real("lamp_xy", x), _checks.real("lamp_xy", y)) for x, y in self.lamp_xy
+                (_checks.real("lamp_xy", x, *_XY), _checks.real("lamp_xy", y, *_XY))
+                for x, y in self.lamp_xy
             )
-        except (TypeError, ValueError):  # not pairs, or not finite numbers
+        except (TypeError, ValueError):  # not pairs, or not numbers in range
             lamp_xy = ()
         if not lamp_xy:
             raise ValueError(
-                f"lamp_xy must be one or more finite (x, y) pairs, got {self.lamp_xy!r}"
+                f"lamp_xy must be one or more finite (x, y) pairs in [{_XY[0]}, {_XY[1]}] m, "
+                f"got {self.lamp_xy!r}"
             )
         object.__setattr__(self, "lamp_xy", lamp_xy)
         if not isinstance(self.collapse_lamps, bool):
@@ -112,8 +119,6 @@ class RoomConfig:
             raise ValueError(
                 f"len(lamp_xy) * chips_per_side**2 must be at most {_MAX_CHIPS}, got {chips}"
             )
-        if not self.semi_angle_deg < 90 or not self.fov_deg < 90:
-            raise ValueError("semi-angle and field of view must be in (0, 90) deg")
         if self.current_max <= self.current_min:
             raise ValueError("current_max must exceed current_min")
         if self.pd_height >= self.lamp_height:
@@ -167,11 +172,7 @@ def chip_positions(room: RoomConfig) -> np.ndarray:
     out = []
     for x, y in room.lamp_xy:
         gx, gy = np.meshgrid(x + offs, y + offs, indexing="ij")
-        out.append(
-            np.column_stack(
-                [gx.ravel(), gy.ravel(), np.full(k * k, room.lamp_height)]
-            )
-        )
+        out.append(np.column_stack([gx.ravel(), gy.ravel(), np.full(k * k, room.lamp_height)]))
     return np.concatenate(out, axis=0)
 
 
@@ -227,7 +228,7 @@ def link_budget(room: RoomConfig, pd_xy, alpha: float) -> LinkBudget:
     """Aggregate gain, noise, and OSNR at a receiver position of two finite
     numbers, for a dimming ratio ``alpha`` in (0, 1/2) (else ValueError)."""
     alpha = _checks.alpha(alpha)
-    x, y = _checks.real("pd_xy", pd_xy[0]), _checks.real("pd_xy", pd_xy[1])
+    x, y = _checks.real("pd_xy", pd_xy[0], *_XY), _checks.real("pd_xy", pd_xy[1], *_XY)
     gains = lambertian_gain(room._chips, (x, y, room.pd_height), room)
     # A collapsed lamp stands in for a full chip array at the lamp center, so
     # it carries the whole array's drive current.
@@ -236,13 +237,8 @@ def link_budget(room: RoomConfig, pd_xy, alpha: float) -> LinkBudget:
     chain = room.responsivity * room.eo_gain
     eff_gain = room.current_swing * chain * gain_sum
     shot_current = chain * room.mean_current(alpha) * gain_sum
-    var = (
-        2.0
-        * room.electron_charge
-        * room.bandwidth
-        * (shot_current + room.background_current * room.noise_factor)
-        * room.noise_scale
-    )
+    var = (2.0 * ELECTRON_CHARGE * room.bandwidth
+           * (shot_current + room.background_current * room.noise_factor) * room.noise_scale)
     sigma = math.sqrt(var)
     if eff_gain > 0.0:
         sigma_eff = sigma / eff_gain
@@ -335,7 +331,6 @@ class SerSurvey:
 
 
 _MAX_POSITIONS = 100_000  # positions and their seeds are drawn up front
-_BATCH_SIZE = 4096  # trials per batch at every position
 
 
 def check_survey(room: RoomConfig, n_positions: int, trials_per_pos: int, threads: int) -> tuple:
@@ -365,10 +360,10 @@ def survey_ser(
 
     Every position runs the same trial budget, so the pooled error fraction
     equals the unweighted mean of per-position SERs.  A position with zero
-    optical gain (possible only when sampling outside the room) receives no
-    signal at all, so its trials are all counted as errors.  The other
-    positions run in order through one worker pool, after every one's OSNR
-    has been checked.
+    optical gain, whose OSNR is -inf, receives no signal at all, so its
+    trials are all counted as errors.  The other positions run in order
+    through one worker pool, after every one's OSNR (NaN too) has been
+    checked.
 
     ``steps`` is for ``oslc indoor``: work, such as the rows of
     ``osnr_map_rows``, that ``_run_points`` runs in this process while the
@@ -385,7 +380,7 @@ def survey_ser(
 
     runs = iter(_run_points(
         spec,
-        [(osnr, s) for osnr, s in points if math.isfinite(osnr)],
+        [(osnr, s) for osnr, s in points if osnr != -math.inf],
         target_errors=None,
         max_trials=trials_per_pos,
         batch_size=_BATCH_SIZE,
@@ -393,7 +388,7 @@ def survey_ser(
         steps=steps,
     ))
     records = tuple(
-        next(runs) if math.isfinite(osnr) else SerRecord(
+        next(runs) if osnr != -math.inf else SerRecord(
             osnr_db=osnr, trials=trials_per_pos, errors=trials_per_pos,
             ser=1.0, ci95_low=1.0, ci95_high=1.0, seed=s,
         )

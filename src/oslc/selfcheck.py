@@ -12,11 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import _checks, codes, indoor, lattices, shaping, shells, simulate
+from . import _checks, indoor, lattices, shaping, shells, simulate
 from .codes import GOLAY, BinaryBlockCode
 from .constellations import build_cubic_spec, build_oslc_spec, build_tcc_spec
 from .constellations import demap_point, map_bits
@@ -322,7 +321,7 @@ def _check_indoor_units():
     budget = indoor.link_budget(room, (0.4, -0.3), 0.25)
     chain = room.responsivity * room.eo_gain
     mean_i = room.current_min + 0.25 * (room.current_max - room.current_min)
-    var = 2 * room.electron_charge * room.bandwidth * (
+    var = 2 * indoor.ELECTRON_CHARGE * room.bandwidth * (
         chain * mean_i * budget.gain_sum
         + room.background_current * room.noise_factor
     ) * room.noise_scale

@@ -161,6 +161,8 @@ def _pool_run(task: tuple[float, int, int, int]) -> int:
     return _simulate_batch(_POOL_SPEC, *task)
 
 
+_BATCH_SIZE = 4096  # trials per batch of every point whose caller sets none
+
 # Largest batch: its (batch, 24) draws and noise, 13 MB each, are allocated whole.
 _MAX_BATCH_SIZE = 65_536
 
@@ -214,7 +216,7 @@ def simulate_ser(
     seed: int = 0,
     target_errors: int | None = 100,
     max_trials: int = 20_000_000,
-    batch_size: int = 4096,
+    batch_size: int = _BATCH_SIZE,
     threads: int = 1,
     workers: tuple[Executor | None, int] | None = None,
     steps: Iterable = (),
@@ -321,7 +323,7 @@ def ser_sweep(
     seed: int = 0,
     target_errors: int | None = 100,
     max_trials: int = 20_000_000,
-    batch_size: int = 4096,
+    batch_size: int = _BATCH_SIZE,
     threads: int = 1,
 ) -> list[SerRecord]:
     """simulate_ser over a grid, with per-point seeds derived from the

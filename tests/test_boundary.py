@@ -3,6 +3,7 @@ ValueError with a message, whatever JSON-like value arrives."""
 
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -88,3 +89,42 @@ def test_every_entry_returns_or_raises_value_error(cfg_path, options, room, desi
     solution = returns_or_rejects(shaping.solve_t_star, *solve)
     if solution is not None:
         assert type(solution.n) is int and math.isfinite(solution.sg_db)
+
+
+# Each float field of RoomConfig with its declared range, and values at,
+# just inside and just outside the range and at +-1e+-300, split by which
+# side of the range they fall on.
+RANGES = {f.name: f.metadata["range"][:2] for f in fields(RoomConfig) if "range" in f.metadata}
+EDGES = {
+    name: [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo), math.nextafter(lo, -math.inf),
+           math.nextafter(hi, math.inf), 1e300, -1e300, 1e-300, -1e-300]
+    for name, (lo, hi) in RANGES.items()
+}
+INSIDE = st.fixed_dictionaries({}, optional={
+    name: st.sampled_from([v for v in EDGES[name] if lo <= v <= hi]) | st.floats(lo, hi)
+    for name, (lo, hi) in RANGES.items()
+})
+OUTSIDE = st.sampled_from([
+    (name, v) for name, (lo, hi) in RANGES.items() for v in EDGES[name] if not lo <= v <= hi
+])
+
+
+@settings(max_examples=100)
+@given(inside=INSIDE, outside=st.none() | OUTSIDE,
+       alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+def test_every_room_in_its_declared_ranges_prices_finite_or_dark(inside, outside, alpha):
+    # A 1e-7 deg semi-angle divided by zero, a 1e300 refractive index
+    # overflowed and a 1e308 m^2 detector priced to a NaN OSNR.
+    if outside is not None:
+        name, value = outside
+        with pytest.raises(ValueError, match=f"{name} must"):
+            RoomConfig(**{**inside, name: value})
+        return
+    room = returns_or_rejects(lambda: RoomConfig(**inside))
+    if room is not None:
+        half = room.sample_halfwidth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xy in ((0.0, 0.0), (half, -half)):
+                osnr = indoor.link_budget(room, xy, alpha).osnr_db
+                assert math.isfinite(osnr) or osnr == -math.inf, (inside, xy, alpha)

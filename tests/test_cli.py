@@ -567,6 +567,29 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("oslc: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(("field", "value"), [
+        ("semi_angle_deg", 1e-7), ("detector_area", 1e308), ("lamp_height", 1e200),
+        ("refractive_index", 1e300), ("fov_deg", 1e-300),
+        # a constant of nature, no longer a field of the room
+        ("electron_charge", 1.6e-19),
+    ])
+    def test_room_outside_its_declared_ranges_exits_2(self, tmp_path, capsys, field, value):
+        # These ended in a ZeroDivisionError traceback, or exited 0 with a
+        # NaN heatmap and an average SER of 1.
+        cfg = tmp_path / "room.json"
+        cfg.write_text(json.dumps({"room": {field: value}}), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [
+            "indoor", "--scheme", "cubic", "--beta", "2", "--positions", "2",
+            "--trials-per-pos", "10", "--grid-step", "0.5",
+            "--config", str(cfg), "--out", str(out_dir / "indoor.csv"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oslc: ") and field in err
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize(("command", "key", "value"), [
         ("ser", "beta", 2.7),
         ("ser", "threads", True),

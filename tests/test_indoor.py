@@ -134,8 +134,8 @@ class TestRoomValidation:
             ({"lamp_height": "3"}, "lamp_height must be a finite number"),
             ({"sample_halfwidth": math.nan}, "sample_halfwidth must be a finite number"),
             ({"sample_halfwidth": math.inf}, "sample_halfwidth must be a finite number"),
-            ({"sample_halfwidth": -1.0}, "sample_halfwidth must be positive"),
-            ({"sample_halfwidth": 0.0}, "sample_halfwidth must be positive"),
+            ({"sample_halfwidth": -1.0}, r"sample_halfwidth must lie in \[0.01, 100.0\] m"),
+            ({"sample_halfwidth": 0.0}, r"sample_halfwidth must lie in \[0.01, 100.0\] m"),
             ({"chips_per_side": 0}, "chips_per_side must be an integer of at least 1"),
             ({"chips_per_side": -3}, "chips_per_side must be an integer of at least 1"),
             ({"chips_per_side": 2.5}, "chips_per_side must be an integer of at least 1"),
@@ -155,8 +155,13 @@ class TestRoomValidation:
             ({"lamp_xy": ((1.0,),)}, "lamp_xy must be one or more finite"),
             ({"lamp_xy": ()}, "lamp_xy must be one or more finite"),
             ({"pd_height": 3.0}, "pd_height must be below lamp_height"),
-            ({"semi_angle_deg": -5.0}, "semi_angle_deg must be positive"),
-            ({"fov_deg": 90.0}, r"must be in \(0, 90\) deg"),
+            ({"semi_angle_deg": -5.0}, r"semi_angle_deg must lie in \[1.0, 89.0\] deg"),
+            ({"fov_deg": 90.0}, r"fov_deg must lie in \[1.0, 89.0\] deg"),
+            # a 1e-7 deg semi-angle divided by zero, and a 1e308 m^2 detector
+            # priced to a NaN OSNR
+            ({"semi_angle_deg": 1e-7}, r"semi_angle_deg must lie in \[1.0, 89.0\] deg"),
+            ({"detector_area": 1e308}, r"detector_area must lie in \[1e-09, 1.0\] m\^2"),
+            ({"lamp_xy": ((1e4, 0.0),)}, r"pairs in \[-1000.0, 1000.0\] m"),
             ({"chips_per_side": 159}, r"chips_per_side\*\*2 must be at most 100000, got 101124"),
             ({"chips_per_side": 100_000}, r"must be at most 100000, got 40000000000"),
             ({"lamp_xy": ((0.0, 0.0),) * 2041}, r"len\(lamp_xy\) \* chips_per_side"),
@@ -204,7 +209,7 @@ class TestLinkBudget:
         shot = room.responsivity * room.eo_gain * mean_current * b.gain_sum
         var = (
             2.0
-            * room.electron_charge
+            * indoor.ELECTRON_CHARGE
             * room.bandwidth
             * (shot + room.background_current * room.noise_factor)
             * room.noise_scale
@@ -234,6 +239,11 @@ class TestLinkBudget:
     def test_position_must_be_finite(self, room, xy):
         # NaN gave osnr_db = -inf, as if the position had no light
         with pytest.raises(ValueError, match="pd_xy must be a finite number"):
+            link_budget(room, xy, 0.3)
+
+    @pytest.mark.parametrize("xy", [(1000.5, 0.0), (0.0, -1e300)])
+    def test_position_must_lie_in_the_room_plan(self, room, xy):
+        with pytest.raises(ValueError, match=r"pd_xy must lie in \[-1000.0, 1000.0\] m"):
             link_budget(room, xy, 0.3)
 
     def test_alpha_of_any_real_kind(self, room):
@@ -287,7 +297,7 @@ class TestOsnrMap:
                 shot_current = chain * room.mean_current(alpha) * gain_sum
                 var = (
                     2.0
-                    * room.electron_charge
+                    * indoor.ELECTRON_CHARGE
                     * room.bandwidth
                     * (shot_current + room.background_current * room.noise_factor)
                     * room.noise_scale
@@ -420,14 +430,22 @@ class TestSurvey:
         assert s.ser == 1.0
         assert all(r.ser == 1.0 for r in s.records)
 
-    @pytest.mark.parametrize(("noise_scale", "osnr"), [(1e40, -167.9), (1e-70, 382.1)])
-    def test_osnr_outside_the_simulated_range(self, noise_scale, osnr):
-        # a finite position OSNR goes through simulate_ser's range check
-        quiet = RoomConfig(noise_scale=noise_scale)
-        assert link_budget(quiet, (0.0, 0.0), 0.2).osnr_db == pytest.approx(osnr, abs=0.1)
+    @pytest.mark.parametrize(("osnr", "message"), [
+        (-167.9, "osnr_db must lie in"), (382.1, "osnr_db must lie in"),
+        (math.inf, "osnr_db must be a finite number"),
+        # NaN was taken for a position with no light, and counted as errors
+        (math.nan, "osnr_db must be a finite number"),
+    ])
+    def test_osnr_outside_the_simulated_range(self, room, monkeypatch, osnr, message):
+        # only -inf means no light; any other position OSNR goes through
+        # the runner's range check before the first batch
+        batches = []
+        monkeypatch.setattr(indoor, "link_budget", lambda *args: SimpleNamespace(osnr_db=osnr))
+        monkeypatch.setattr(simulate, "_simulate_batch", lambda *args: batches.append(args))
         spec = con.build_tcc_spec(2, 0.2)
-        with pytest.raises(ValueError, match="osnr_db must lie in"):
-            indoor.survey_ser(quiet, spec, n_positions=3, trials_per_pos=10)
+        with pytest.raises(ValueError, match=message):
+            indoor.survey_ser(room, spec, n_positions=3, trials_per_pos=10)
+        assert batches == []
 
     def test_argument_validation(self, room):
         spec = con.build_cubic_spec(5, 0.2)
@@ -463,24 +481,18 @@ class TestSurvey:
                 RoomConfig(fov_deg=5.0), spec, n_positions=3, trials_per_pos=10, threads=0
             )
 
-    def test_every_position_checked_before_any_runs(self, monkeypatch):
-        # The first position lies in the simulated OSNR range, later ones
+    def test_every_position_checked_before_any_runs(self, room, monkeypatch):
+        # The first position lies in the simulated OSNR range, the third
         # below it; the survey must fail before its first batch.
-        quiet = RoomConfig(noise_scale=3e26)
-        osnrs, batches = [], []
-
-        def budget(*args):
-            out = link_budget(*args)
-            osnrs.append(out.osnr_db)
-            return out
-
-        monkeypatch.setattr(indoor, "link_budget", budget)
+        osnrs, batches = iter([25.0, 25.0, -150.0, 25.0]), []
+        monkeypatch.setattr(
+            indoor, "link_budget", lambda *args: SimpleNamespace(osnr_db=next(osnrs))
+        )
         monkeypatch.setattr(simulate, "_simulate_batch", lambda *args: batches.append(args))
         spec = con.build_cubic_spec(5, 0.2)
         with pytest.raises(ValueError, match="osnr_db must lie in"):
-            indoor.survey_ser(quiet, spec, n_positions=4, trials_per_pos=10, seed=1)
-        assert -100.0 < osnrs[0] and min(osnrs) < -100.0
-        assert batches == []
+            indoor.survey_ser(room, spec, n_positions=4, trials_per_pos=10, seed=1)
+        assert next(osnrs, None) is None and batches == []
 
     def test_draws_match_the_recorded_survey(self, room):
         # Positions, per-position seeds and counts recorded from one run; a
