@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,51 +40,37 @@ __all__ = ["main"]
 _MAX_AXIS_POINTS = 1000
 
 
-def _axis_length(steps, text: str) -> int:
-    """1 + ``steps`` rounded, or ValueError above _MAX_AXIS_POINTS or at inf/nan."""
-    if not steps < _MAX_AXIS_POINTS - 0.5:
+def _parse_axis(text: str, kind) -> list:
+    """The points of an axis of ``kind`` (int or float), or ValueError.
+
+    ``text`` is "a", "a,b,..." or a range "start:stop[:step]", step 1 if
+    omitted.  A range holds start + i * step, rounded to 10 decimals, for the
+    ⌊(stop - start) / step + 1e-9⌋ + 1 values of i from 0 (for ints, exactly
+    range(start, stop + 1, step)), so it keeps a stop on its grid and never
+    passes it.  Every point is finite, and an axis has 1 to _MAX_AXIS_POINTS.
+    """
+    def point(token: str):
+        value = kind(token)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"axis {text!r} has a point that is not finite")
+        return value
+
+    parts = text.split(":")
+    if len(parts) == 1:  # a list, of up to one point more than it has commas
+        steps = text.count(",")
+    else:
+        start, stop, step = (*map(point, parts), 1)[:3]
+        if len(parts) > 3 or not (step > 0 and start <= stop):
+            raise ValueError(f"axis {text!r} is not a range start:stop[:step] "
+                             "with start <= stop and step > 0")
+        steps = (stop - start) // step if kind is int else (stop - start) / step + 1e-9
+    if not steps < _MAX_AXIS_POINTS:
         raise ValueError(f"axis {text!r} has more than {_MAX_AXIS_POINTS} points")
-    return round(steps) + 1
-
-
-def _parse_list(text: str, kind) -> list:
-    """The ``kind`` values of a comma list; ValueError if it has none."""
-    _axis_length(text.count(","), text)
-    values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    values = ([round(start + i * step, 10) for i in range(int(steps) + 1)] if len(parts) > 1
+              else [point(tok) for tok in text.split(",") if tok.strip()])
     if not values:
         raise ValueError(f"axis {text!r} has no points")
     return values
-
-
-def _parse_int_axis(text: str) -> list[int]:
-    """Parse "24", "2,5,9", or an inclusive range "2:32"."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad integer range {text!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad integer range {text!r}")
-        _axis_length((stop - start) // step, text)
-        return list(range(start, stop + 1, step))
-    return _parse_list(text, int)
-
-
-def _parse_float_axis(text: str) -> list[float]:
-    """Parse "0.2", "0.2,0.3", or an inclusive range "22:26:0.5"."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"float ranges need start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not (step > 0 and start <= stop):
-            raise ValueError(f"bad float range {text!r}")
-        count = _axis_length((stop - start) / step, text)
-        return [round(start + i * step, 10) for i in range(count)]
-    return _parse_list(text, float)
 
 
 def _fmt(value) -> str:
@@ -150,8 +137,8 @@ def _room_from_config(config: dict) -> RoomConfig:
 
 
 def _cmd_shaping(args) -> tuple[int, list[Path]]:
-    dims = [_checks.integer("n", n, 1, MAX_N) for n in _parse_int_axis(args.n)]
-    alphas = _parse_float_axis(args.alpha)
+    dims = [_checks.integer("n", n, 1, MAX_N) for n in _parse_axis(args.n, int)]
+    alphas = [_checks.alpha(alpha) for alpha in _parse_axis(args.alpha, float)]
     rows = []
     for n in dims:
         for alpha in alphas:
@@ -175,7 +162,7 @@ def _cmd_shaping(args) -> tuple[int, list[Path]]:
 
 
 def _cmd_ser(args) -> tuple[int, list[Path]]:
-    grid = _parse_float_axis(args.osnr)
+    grid = _parse_axis(args.osnr, float)
     spec = build_spec(args.scheme, args.beta, args.alpha)  # --scheme has no default
     records = ser_sweep(
         spec,

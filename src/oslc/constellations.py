@@ -156,8 +156,8 @@ def determine_params(
        <= kappa_best.
     """
     alpha = _as_fraction(alpha)
-    if m_s < 2:
-        raise ValueError(f"the shaping alphabet needs at least 2 points, got {m_s}")
+    n = _checks.integer("n", n, 1)
+    m_s = _checks.integer("m_s", m_s, 2)
     best: AlphabetChoice | None = None
     h = 1
     while _even_sum_count(n, h) < m_s:

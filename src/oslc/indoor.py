@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _checks
 from .constellations import ConstellationSpec
-from .simulate import _BATCH_SIZE, SerRecord, _check_run, _point_seeds, _run_points
+from .simulate import _BATCH_SIZE, _OSNR_DB, SerRecord, _check_run, _point_seeds, _run_points
 
 __all__ = [
     "ELECTRON_CHARGE",
@@ -359,11 +359,12 @@ def survey_ser(
     """Average SER over uniformly random receiver positions.
 
     Every position runs the same trial budget, so the pooled error fraction
-    equals the unweighted mean of per-position SERs.  A position with zero
-    optical gain, whose OSNR is -inf, receives no signal at all, so its
-    trials are all counted as errors.  The other positions run in order
-    through one worker pool, after every one's OSNR (NaN too) has been
-    checked.
+    equals the unweighted mean of per-position SERs.  A position is dark
+    when its OSNR lies below the simulated range (``_OSNR_DB``, from
+    -100 dB), -inf included where no light arrives: its trials all count as
+    errors and none runs.  The other positions run in order through one
+    worker pool, after every one's OSNR has been checked, so NaN or an OSNR
+    above 300 dB raises ValueError before the first batch.
 
     ``steps`` is for ``oslc indoor``: work, such as the rows of
     ``osnr_map_rows``, that ``_run_points`` runs in this process while the
@@ -377,10 +378,11 @@ def survey_ser(
     positions = pos_rng.uniform(-half, half, size=(n_positions, 2))
     osnrs = np.array([link_budget(room, xy, alpha).osnr_db for xy in positions])
     points = list(zip(osnrs.tolist(), _point_seeds(seed, n_positions)))
+    dark = [osnr < _OSNR_DB[0] for osnr, _ in points]  # not NaN: the runner rejects it
 
     runs = iter(_run_points(
         spec,
-        [(osnr, s) for osnr, s in points if osnr != -math.inf],
+        [point for point, is_dark in zip(points, dark) if not is_dark],
         target_errors=None,
         max_trials=trials_per_pos,
         batch_size=_BATCH_SIZE,
@@ -388,11 +390,11 @@ def survey_ser(
         steps=steps,
     ))
     records = tuple(
-        next(runs) if osnr != -math.inf else SerRecord(
+        SerRecord(
             osnr_db=osnr, trials=trials_per_pos, errors=trials_per_pos,
             ser=1.0, ci95_low=1.0, ci95_high=1.0, seed=s,
-        )
-        for osnr, s in points
+        ) if is_dark else next(runs)
+        for (osnr, s), is_dark in zip(points, dark)
     )
     trials = sum(rec.trials for rec in records)
     errors = sum(rec.errors for rec in records)

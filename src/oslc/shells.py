@@ -210,9 +210,9 @@ class TdIndexer:
     # -- statistics over a canonical prefix (the selected alphabet) -------
 
     def selection(self, m_s: int) -> "TdSelection":
-        """Exact statistics of the first ``m_s`` points in canonical order."""
-        if not 1 <= m_s <= self.count:
-            raise ValueError(f"selection size must be in [1, {self.count}]")
+        """Exact statistics of the first ``m_s`` points in canonical order,
+        ``m_s`` an integer in 1..count."""
+        m_s = _checks.integer("m_s", m_s, 1, self.count)
         k = bisect.bisect_left(self.shell_cum, m_s)
         s_star = 2 * k
         before = self.shell_cum[k - 1] if k > 0 else 0
@@ -310,8 +310,8 @@ class TdSampler:
 
     def __init__(self, indexer: TdIndexer, m_s: int):
         self.indexer = indexer
-        self.m_s = m_s
         sel = indexer.selection(m_s)
+        self.m_s = m_s = sel.m_s
         n, h = indexer.n, indexer.h
         s_star, partial = sel.s_star, sel.partial
         k_star = s_star // 2

@@ -88,9 +88,11 @@ def cubic_ser_formula(spec: ConstellationSpec, osnr_db):
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval (95%) for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("need at least one trial")
+    """Wilson score interval (95%) for a binomial proportion, with integer
+    ``trials`` in 1..2**63 - 1 (a larger int overflows the float arithmetic)
+    and 0 <= ``errors`` <= ``trials``."""
+    trials = _checks.integer("trials", trials, 1, 2**63 - 1)
+    errors = _checks.integer("errors", errors, 0, trials)
     p = errors / trials
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
@@ -175,9 +177,7 @@ def _check_run(target_errors: int | None, max_trials: int, batch_size: int, thre
     if target_errors is not None:
         target_errors = _checks.integer("target_errors", target_errors, 1)
     max_trials = _checks.integer("max_trials", max_trials, 1)
-    batch_size = _checks.integer("batch_size", batch_size)
-    if not 1 <= batch_size <= _MAX_BATCH_SIZE:
-        raise ValueError(f"batch_size must be in 1..{_MAX_BATCH_SIZE}, got {batch_size}")
+    batch_size = _checks.integer("batch_size", batch_size, 1, _MAX_BATCH_SIZE)
     return target_errors, max_trials, batch_size, _checks.integer("threads", threads, 1)
 
 

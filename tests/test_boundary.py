@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oslc import cli, constellations, indoor, shaping, simulate
+from oslc import _checks, cli, constellations, indoor, shaping, simulate
 from oslc.indoor import RoomConfig
+from oslc.shells import TdIndexer
 
 # The kinds of value a JSON config can hold, and the wrong kinds a caller
 # can pass: null, bools, integers at and beyond the int64 and float ranges,
@@ -43,6 +44,10 @@ OPTIONS = st.tuples(*(
 # milliseconds: beta = 8 takes seconds.
 SMALL_N = st.integers(1, 24)
 SMALL_BETA = JSON.filter(lambda v: not (type(v) is int and 4 <= v <= 8)) | st.integers(1, 3)
+# A shaping alphabet's n and m_s: a value that is no integer, or a small
+# integer, so that no example builds a large alphabet.
+NOT_INT = JSON.filter(lambda v: _checks.as_int(v) is None)
+ALPHABET = st.tuples(NOT_INT | st.integers(-1, 8), NOT_INT | st.integers(-1, 4096))
 
 
 def returns_or_rejects(call, *args):
@@ -67,9 +72,11 @@ def cfg_path(tmp_path_factory):
     run=st.tuples(JSON, JSON | st.integers(1, 64), JSON | st.integers(1, 64), JSON),
     survey=st.tuples(JSON | st.integers(1, 4), JSON | st.integers(1, 64), JSON),
     solve=st.tuples(JSON | SMALL_N, JSON),
+    alphabet=ALPHABET,
+    outcome=st.tuples(JSON | st.integers(0, 64), JSON | st.integers(0, 64)),
 )
 def test_every_entry_returns_or_raises_value_error(cfg_path, options, room, design, run,
-                                                  survey, solve):
+                                                  survey, solve, alphabet, outcome):
     for (command, key, kind), value in options:
         cfg_path.write_text(json.dumps({key: value}), encoding="utf-8")
         args = returns_or_rejects(cli._parse, [command, "--config", str(cfg_path)])
@@ -89,6 +96,15 @@ def test_every_entry_returns_or_raises_value_error(cfg_path, options, room, desi
     solution = returns_or_rejects(shaping.solve_t_star, *solve)
     if solution is not None:
         assert type(solution.n) is int and math.isfinite(solution.sg_db)
+    cls = constellations.TccSpec
+    returns_or_rejects(constellations.determine_params, *alphabet, 0.2, cls._stats,
+                       cls._peak_floor)
+    selection = returns_or_rejects(TdIndexer(5, 3, 4).selection, alphabet[1])
+    if selection is not None:
+        assert type(selection.m_s) is int
+    interval = returns_or_rejects(simulate.wilson_interval, *outcome)
+    if interval is not None:
+        assert 0.0 <= interval[0] <= interval[1] <= 1.0
 
 
 # Each float field of RoomConfig with its declared range, and values at,

@@ -3,13 +3,19 @@
 import csv
 import hashlib
 import json
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oslc
 from oslc import cli, lattices, selfcheck, shaping, simulate
@@ -723,3 +729,133 @@ class TestOneDeclaration:
         for cmd, _, _, default, help_text in OPTIONS:
             if cmd == command:
                 assert f"{help_text} (default: {default})" in text
+
+
+# Decimals with at most three places, in [-10, 10] with a step in
+# [0.001, 10]: the grids the subcommands tabulate, where the exact count and
+# points are known from fractions.
+DECIMAL = st.builds(lambda a, d: Fraction(a, 10**d), st.integers(-10**4, 10**4), st.integers(0, 3))
+STEP = st.builds(lambda a, d: Fraction(a, 10**d), st.integers(1, 10**4), st.integers(0, 3))
+
+
+def decimal_text(x):
+    return repr(float(x))
+
+
+class TestAxisGrammar:
+    @given(start=DECIMAL, span=DECIMAL.map(abs), step=STEP | st.none())
+    def test_float_range_holds_every_grid_point_up_to_stop(self, start, span, step):
+        stop = start + span
+        text = f"{decimal_text(start)}:{decimal_text(stop)}"
+        if step is None:
+            step = Fraction(1)
+        else:
+            text += f":{decimal_text(step)}"
+        count = int(span // step) + 1
+        if count > cli._MAX_AXIS_POINTS:
+            with pytest.raises(ValueError, match="more than 1000 points"):
+                cli._parse_axis(text, float)
+            return
+        values = cli._parse_axis(text, float)
+        assert values == [float(start + i * step) for i in range(count)]
+        assert values[0] == float(start) and values[-1] <= float(stop)
+        # a stop on the grid is kept
+        assert (values[-1] == float(stop)) == (span % step == 0)
+
+    @given(start=st.integers(-10**6, 10**6), stop=st.integers(-10**6, 10**6),
+           step=st.none() | st.integers(-3, 10**4))
+    def test_int_range_is_the_inclusive_python_range(self, start, stop, step):
+        text = f"{start}:{stop}" + ("" if step is None else f":{step}")
+        want = list(range(start, stop + 1, step or 1)) if step is None or step > 0 else []
+        if not 1 <= len(want) <= cli._MAX_AXIS_POINTS:
+            with pytest.raises(ValueError, match=f"axis {text!r}"):
+                cli._parse_axis(text, int)
+        else:
+            assert cli._parse_axis(text, int) == want
+
+    @given(text=st.text(alphabet="0123456789.,:-+e nainf_x", max_size=12) | st.text(max_size=8),
+           kind=st.sampled_from([int, float]))
+    def test_any_text_gives_finite_points_or_value_error(self, text, kind):
+        try:
+            values = cli._parse_axis(text, kind)
+        except ValueError as exc:
+            assert str(exc)
+            return
+        assert 1 <= len(values) <= cli._MAX_AXIS_POINTS
+        assert all(type(v) is kind and math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize(("text", "kind", "points"), [
+        ("0.1:0.4:0.1", float, [0.1, 0.2, 0.3, 0.4]),
+        ("24:26", float, [24.0, 25.0, 26.0]),
+        (" 2:8:3 ", int, [2, 5, 8]),
+        ("8,16,,24", int, [8, 16, 24]),
+    ])
+    def test_named_axes(self, text, kind, points):
+        assert cli._parse_axis(text, kind) == points
+
+    @pytest.mark.parametrize("text", ["0:0:inf", "nan", "1,inf", "1:2:3:4", "2:1", "0:1:0"])
+    def test_rejected_axes(self, text):
+        with pytest.raises(ValueError, match=f"axis {text!r}"):
+            cli._parse_axis(text, float)
+
+    def test_osnr_range_stops_at_its_stop(self, tmp_path, monkeypatch):
+        # 24:26.3:0.5 also simulated 26.5 dB: its point count was rounded up
+        grids = []
+        monkeypatch.setattr(cli, "ser_sweep", lambda spec, grid, **k: grids.append(grid) or [])
+        assert main(["ser", "--scheme", "cubic", "--beta", "2", "--osnr", "24:26.3:0.5",
+                     "--out", str(tmp_path / "ser.csv")]) == 0
+        assert grids == [[24.0, 24.5, 25.0, 25.5, 26.0]]
+
+    def test_alpha_range_stops_at_its_stop(self, tmp_path):
+        # 0.1:0.46:0.1 also solved alpha = 0.5, and exited 2
+        out = tmp_path / "shaping.csv"
+        assert main(["shaping", "--n", "4", "--alpha", "0.1:0.46:0.1", "--out", str(out)]) == 0
+        assert [r["alpha"] for r in read_rows(out)] == ["0.1", "0.2", "0.3", "0.4"]
+
+    def test_every_alpha_checked_before_the_first_solve(self, tmp_path, monkeypatch, capsys):
+        # alpha = 0.7 used to fail only after n = 128 had been solved at 0.45
+        calls = []
+        monkeypatch.setattr(cli, "solve_t_star", lambda *a: calls.append(a))
+        out = tmp_path / "shaping.csv"
+        assert main(["shaping", "--n", "128", "--alpha", "0.45,0.7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "oslc: alpha must lie in (0, 1/2), got 0.7\n"
+        assert calls == [] and not out.exists()
+
+
+def test_survey_with_positions_below_the_osnr_floor_exits_0(tmp_path):
+    # A 5 deg semi-angle leaves corners at -100.8 dB, which stopped the survey
+    # with exit 2; they count as dark positions.
+    cfg = tmp_path / "room.json"
+    cfg.write_text(json.dumps({"room": {"semi_angle_deg": 5.0}}), encoding="utf-8")
+    out = tmp_path / "indoor.csv"
+    assert main(["indoor", "--scheme", "cubic", "--beta", "2", "--positions", "20",
+                 "--trials-per-pos", "100", "--grid-step", "1.0", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "indoor_summary.json").read_text())
+    assert summary["average_ser"] == 0.7965
+    assert summary["map_min_osnr_db"] < -100.0
+
+
+# The axis options and their kinds.
+AXES = {("shaping", "n"): int, ("shaping", "alpha"): float, ("ser", "osnr"): float}
+
+
+def readme_commands():
+    """Each ``oslc`` command line of README's ``sh`` blocks, continuations
+    joined, as its argument list."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("oslc ")]
+
+
+def test_readme_examples_parse():
+    # Parsed, never run: an example that uses a renamed option or an axis
+    # outside the grammar fails here.
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        args = cli._parse(argv)
+        for (command, key), kind in AXES.items():
+            if command == args.command:
+                assert cli._parse_axis(getattr(args, key), kind), argv

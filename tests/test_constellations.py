@@ -2,14 +2,19 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oslc
 from oslc import constellations as con
 from oslc import shells
 from oslc.codes import GOLAY
@@ -470,9 +475,29 @@ class TestDispatchAndExport:
         assert con.build_spec("oslc", 2, single).alpha == Fraction(repr(float(single)))
         # an alphabet of one point has mean and peak 0, so no finite gain
         for n in (1, 2, 24):
-            for m_s in (0, 1):
-                with pytest.raises(ValueError):
+            for m_s in (0, 1, True, 2.5):
+                with pytest.raises(ValueError, match="m_s must be"):
                     con.determine_params(n, m_s, 0.2, con.TccSpec._stats, con.TccSpec._peak_floor)
+
+    def test_height_scan_takes_positive_dimensions(self):
+        # In a separate process with a timeout: n = 0 used to scan heights
+        # forever, its box never holding two points.
+        script = (
+            "from oslc import constellations as con\n"
+            "for n in (0, -1, 2.0):\n"
+            "    try:\n"
+            "        con.determine_params(n, 2, 0.2, con.TccSpec._stats, con.TccSpec._peak_floor)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(oslc.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines() == [
+            "n must be an integer of at least 1, got 0",
+            "n must be an integer of at least 1, got -1",
+            "n must be an integer of at least 1, got 2.0",
+        ]
 
     @pytest.mark.parametrize("beta", [0, -1, 9, 2.0, True, "3"])
     @pytest.mark.parametrize("kind", con.SCHEMES)

@@ -430,15 +430,33 @@ class TestSurvey:
         assert s.ser == 1.0
         assert all(r.ser == 1.0 for r in s.records)
 
+    @pytest.mark.parametrize("osnr", [-math.inf, -167.9, -100.82315207608134])
+    def test_osnr_below_the_simulated_range_is_dark(self, room, monkeypatch, osnr):
+        # -100.8 dB, a 5 deg semi-angle's corner, used to stop the survey
+        # with exit 2; it is as dark as -inf, and no batch runs for it
+        batches = []
+        monkeypatch.setattr(indoor, "link_budget", lambda *args: SimpleNamespace(osnr_db=osnr))
+        monkeypatch.setattr(simulate, "_simulate_batch", lambda *args: batches.append(args))
+        s = indoor.survey_ser(room, con.build_tcc_spec(2, 0.2), n_positions=3, trials_per_pos=10)
+        assert (s.trials, s.errors, s.ser) == (30, 30, 1.0) and batches == []
+        assert [r.osnr_db for r in s.records] == [osnr] * 3
+
+    def test_osnr_at_the_floor_runs(self, room, monkeypatch):
+        batches = []
+        monkeypatch.setattr(indoor, "link_budget", lambda *args: SimpleNamespace(osnr_db=-100.0))
+        monkeypatch.setattr(simulate, "_simulate_batch", lambda *args: batches.append(args) or 0)
+        s = indoor.survey_ser(room, con.build_cubic_spec(2, 0.2), n_positions=2, trials_per_pos=10)
+        assert (s.trials, s.errors, len(batches)) == (20, 0, 2)
+
     @pytest.mark.parametrize(("osnr", "message"), [
-        (-167.9, "osnr_db must lie in"), (382.1, "osnr_db must lie in"),
+        (300.5, "osnr_db must lie in"), (382.1, "osnr_db must lie in"),
         (math.inf, "osnr_db must be a finite number"),
         # NaN was taken for a position with no light, and counted as errors
         (math.nan, "osnr_db must be a finite number"),
     ])
     def test_osnr_outside_the_simulated_range(self, room, monkeypatch, osnr, message):
-        # only -inf means no light; any other position OSNR goes through
-        # the runner's range check before the first batch
+        # below the range is dark; NaN and any OSNR above it go through the
+        # runner's range check before the first batch
         batches = []
         monkeypatch.setattr(indoor, "link_budget", lambda *args: SimpleNamespace(osnr_db=osnr))
         monkeypatch.setattr(simulate, "_simulate_batch", lambda *args: batches.append(args))
@@ -483,8 +501,8 @@ class TestSurvey:
 
     def test_every_position_checked_before_any_runs(self, room, monkeypatch):
         # The first position lies in the simulated OSNR range, the third
-        # below it; the survey must fail before its first batch.
-        osnrs, batches = iter([25.0, 25.0, -150.0, 25.0]), []
+        # above it; the survey must fail before its first batch.
+        osnrs, batches = iter([25.0, 25.0, 400.0, 25.0]), []
         monkeypatch.setattr(
             indoor, "link_budget", lambda *args: SimpleNamespace(osnr_db=next(osnrs))
         )

@@ -352,6 +352,23 @@ class TestSelectionStats:
         with pytest.raises(ValueError):
             idx.selection(idx.count + 1)
 
+    @pytest.mark.parametrize("m_s", [True, 2.5, 0])
+    def test_selection_size_is_an_integer(self, m_s):
+        # True ran as 1 and 2.5 failed inside Fraction with a TypeError
+        idx = TdIndexer(5, 3, 4)
+        with pytest.raises(ValueError, match="m_s must be an integer in 1.."):
+            idx.selection(m_s)
+        with pytest.raises(ValueError, match="m_s must be"):
+            TdSampler(idx, m_s)
+
+    def test_numpy_selection_size_gives_python_ints(self):
+        idx = TdIndexer(5, 3, 4)
+        sel = idx.selection(np.int64(7))
+        counts = (sel.m_s, sel.s_star, sel.partial, sel.sum_l1, sel.max_rest_coord)
+        assert {type(v) for v in (*counts, *sel.first_coord_counts)} == {int}
+        assert sel == idx.selection(7)
+        assert type(TdSampler(idx, np.int64(7)).m_s) is int
+
 
 class TestSampler:
     def test_samples_live_in_the_selection(self):

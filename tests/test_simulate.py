@@ -94,6 +94,18 @@ class TestWilsonInterval:
         p = errors / trials
         assert 0.0 <= lo <= p <= hi <= 1.0
 
+    @pytest.mark.parametrize(("errors", "trials", "message"), [
+        (5, 3, "errors must be an integer in 0..3"),  # was a math domain error
+        (-1, 10, "errors must be an integer in 0..10"),
+        (True, 2, "errors must be an integer in 0..2"),  # ran as 1
+        (2, 10.5, "trials must be an integer"),
+        (0, 0, "trials must be an integer in 1.."),
+        (0, 10**400, "trials must be an integer in 1.."),  # was an OverflowError
+    ])
+    def test_rejects_counts_that_are_not_a_binomial_outcome(self, errors, trials, message):
+        with pytest.raises(ValueError, match=message):
+            sim.wilson_interval(errors, trials)
+
 
 class TestSimulateSer:
     def test_noiseless_channel_has_no_errors(self, cubic_b2, oslc_b4):
@@ -214,7 +226,7 @@ class TestSimulateSer:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1
-        assert "ValueError: batch_size must be in 1..65536" in proc.stderr
+        assert "ValueError: batch_size must be an integer in 1..65536" in proc.stderr
 
     def test_rejects_zero_error_target(self, cubic_b2):
         with pytest.raises(ValueError, match="target_errors"):
