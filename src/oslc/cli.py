@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import hashlib
 import json
 import math
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 from . import __version__, _checks
@@ -39,15 +41,20 @@ __all__ = ["main"]
 # Most points an axis may have; a range is counted before its list is built.
 _MAX_AXIS_POINTS = 1000
 
+# The context of a float range's count: a count past the decimal exponent
+# range (a step like 1e-999999999) is infinite, so too many points.
+_DECIMAL = decimal.Context(traps=[decimal.InvalidOperation, decimal.DivisionByZero])
+
 
 def _parse_axis(text: str, kind) -> list:
     """The points of an axis of ``kind`` (int or float), or ValueError.
 
     ``text`` is "a", "a,b,..." or a range "start:stop[:step]", step 1 if
-    omitted.  A range holds start + i * step, rounded to 10 decimals, for the
-    ⌊(stop - start) / step + 1e-9⌋ + 1 values of i from 0 (for ints, exactly
-    range(start, stop + 1, step)), so it keeps a stop on its grid and never
-    passes it.  Every point is finite, and an axis has 1 to _MAX_AXIS_POINTS.
+    omitted.  A range holds start + i * step for the ⌊(stop - start) / step⌋
+    + 1 values of i from 0, counted and summed in exact decimals on the
+    tokens and only then rounded to floats (for ints, exactly range(start,
+    stop + 1, step)), so it keeps a stop on its grid and never passes it.
+    Every point is finite, and an axis has 1 to _MAX_AXIS_POINTS.
     """
     def point(token: str):
         value = kind(token)
@@ -55,18 +62,22 @@ def _parse_axis(text: str, kind) -> list:
             raise ValueError(f"axis {text!r} has a point that is not finite")
         return value
 
+    def exact(token: str):
+        value = point(token)
+        return Decimal(token) if kind is float else value
+
     parts = text.split(":")
     if len(parts) == 1:  # a list, of up to one point more than it has commas
         steps = text.count(",")
     else:
-        start, stop, step = (*map(point, parts), 1)[:3]
+        start, stop, step = (*map(exact, parts), 1)[:3]
         if len(parts) > 3 or not (step > 0 and start <= stop):
             raise ValueError(f"axis {text!r} is not a range start:stop[:step] "
                              "with start <= stop and step > 0")
-        steps = (stop - start) // step if kind is int else (stop - start) / step + 1e-9
+        steps = (stop - start) // step if kind is int else _DECIMAL.divide(stop - start, step)
     if not steps < _MAX_AXIS_POINTS:
         raise ValueError(f"axis {text!r} has more than {_MAX_AXIS_POINTS} points")
-    values = ([round(start + i * step, 10) for i in range(int(steps) + 1)] if len(parts) > 1
+    values = ([kind(start + i * step) for i in range(int(steps) + 1)] if len(parts) > 1
               else [point(tok) for tok in text.split(",") if tok.strip()])
     if not values:
         raise ValueError(f"axis {text!r} has no points")

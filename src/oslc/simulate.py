@@ -8,16 +8,22 @@ batch b draws all of its randomness from a Philox generator keyed by
 for any worker count.  Stopping (enough errors or the trial cap) is evaluated
 on the committed prefix only.
 
-One loop runs the batches of a point: it keeps at most ``window`` batches
-past the commit point and commits by waiting on the oldest.  ``_check_run``
-checks the run budget, and ``_worker_pool`` yields ``(pool, window)``:
-``(None, 1)`` at one worker, where each batch runs inline, and otherwise one
-process pool and a window of 2 * threads.  ``_run_points`` runs the points
-of a sweep or survey, seeded by ``_point_seeds``: it checks them all and the
-budget, then opens the pool once for all of them; each worker receives the
-spec once, when it starts, and a task is only (sigma, seed, batch_index, count).
-While the oldest batch is still running on the pool, the loop runs steps of
-other work the caller hands it, such as the rows of an indoor heatmap.
+One loop runs the batches of a point, taking them from a ``_BatchFeed``:
+the in-order stream of batch tasks of every point of a run, point by point
+and batch by batch.  ``_check_run`` checks the run budget, and
+``_batch_feed`` opens the feed over the run's workers: at one worker its
+window is 1 and each batch runs inline when taken; otherwise one process
+pool serves the whole run with a window of 2 * threads batches past the
+commit point.  The feed tops the window up from the current point first and
+then from the points after it, so the next point's first batches run while
+the current one commits its last; a point that stops early cancels only its
+own batches.  ``_run_points`` runs the points of a sweep or survey, seeded by
+``_point_seeds``: it checks them all and the budget, then opens one feed for
+all of them; each worker receives the spec once, when it starts, and a task
+is only (sigma, seed, batch_index, count).  ``simulate_ser`` on its own runs
+a feed of one point.  While the oldest batch is still running on the pool,
+the loop runs steps of other work the caller hands it, such as the rows of
+an indoor heatmap.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import os
 import warnings
 from collections import deque
 from collections.abc import Iterable
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -181,32 +187,87 @@ def _check_run(target_errors: int | None, max_trials: int, batch_size: int, thre
     return target_errors, max_trials, batch_size, _checks.integer("threads", threads, 1)
 
 
+# What next() returns from an exhausted iterator of steps.
+_DONE = object()
+
+
+class _BatchFeed:
+    """The batch tasks of a run's ``points``, each a ``(sigma, seed)`` with
+    the budget ``max_trials`` and ``batch_size``, in order: point by point,
+    and batch by batch within a point.
+
+    The current point takes its batches with ``take`` and ends with
+    ``stop``.  Before each take the feed submits tasks to ``pool`` until
+    ``window`` batches are in flight, from the current point first and then
+    from the points after it, so a later point starts early only once every
+    batch of the current one is in flight.  With no pool the window is 1 and
+    a batch runs inline when taken.
+    """
+
+    def __init__(self, spec, pool, window, points, max_trials, batch_size):
+        self.spec, self.pool, self.window = spec, pool, window
+        self.points, self.max_trials, self.batch_size = points, max_trials, batch_size
+        self.flight = deque()  # (point, count, error count or its future), oldest first
+        self.point = 0  # the point taking batches
+        self.cursor = (0, 0)  # (point, batch) of the next task to submit
+
+    def _submit(self) -> None:
+        point, batch = self.cursor
+        done = batch * self.batch_size
+        count = min(self.batch_size, self.max_trials - done)
+        task = (*self.points[point], batch, count)
+        if self.pool is None:
+            run = _simulate_batch(self.spec, *task)
+        else:
+            run = self.pool.submit(_pool_run, task)
+        self.flight.append((point, count, run))
+        self.cursor = (point, batch + 1) if done + count < self.max_trials else (point + 1, 0)
+
+    def take(self, steps) -> tuple[int, int]:
+        """The trial and error counts of the current point's next batch,
+        which must exist.  While that batch runs on the pool, take one step
+        of the iterator ``steps`` at a time and look again."""
+        while len(self.flight) < self.window and self.cursor[0] < len(self.points):
+            self._submit()
+        _, count, run = self.flight.popleft()
+        if self.pool is not None:
+            while not run.done() and next(steps, _DONE) is not _DONE:
+                pass
+            run = run.result()
+        return count, run
+
+    def stop(self) -> None:
+        """End the current point: cancel its batches in flight and skip the
+        ones not yet submitted.  Batches of later points are kept."""
+        while self.flight and self.flight[0][0] == self.point:
+            self.flight.popleft()[2].cancel()
+        if self.cursor[0] == self.point:
+            self.cursor = (self.point + 1, 0)
+        self.point += 1
+
+
 @contextmanager
-def _worker_pool(spec: ConstellationSpec, threads: int):
-    """Yield ``(pool, window)`` for any number of operating points of ``spec``,
-    with ``threads`` at least 1 (see ``_check_run``) and capped at the CPUs
-    this process may run on.  At one worker the pool is None and the window
-    1; otherwise each of ``threads`` worker processes receives ``spec`` once,
-    through the pool initializer, and the window is ``2 * threads`` batches.
+def _batch_feed(spec: ConstellationSpec, points, max_trials: int, batch_size: int, threads: int):
+    """Yield the ``_BatchFeed`` of ``points`` for a run of ``spec`` with a
+    budget that passed ``_check_run``, ``threads`` capped at the CPUs this
+    process may run on.  At one worker there is no pool; otherwise each of
+    ``threads`` worker processes receives ``spec`` once, through the pool
+    initializer, and the window is ``2 * threads`` batches.
     """
     threads = min(threads, len(os.sched_getaffinity(0)))
     if threads == 1:
-        yield None, 1
+        yield _BatchFeed(spec, None, 1, points, max_trials, batch_size)
         return
     with ProcessPoolExecutor(
         max_workers=threads, initializer=_pool_init, initargs=(spec,)
     ) as pool:
-        yield pool, 2 * threads
+        yield _BatchFeed(spec, pool, 2 * threads, points, max_trials, batch_size)
 
 
 # Operating points simulate_ser accepts, in dB.  Far below, the decoders cast
 # overflowing floats to int64 (near -170 dB); far above, the union bound
 # overflows (near 3,100 dB).
 _OSNR_DB = (-100.0, 300.0)
-
-
-# What next() returns from an exhausted iterator of steps.
-_DONE = object()
 
 
 def simulate_ser(
@@ -218,7 +279,7 @@ def simulate_ser(
     max_trials: int = 20_000_000,
     batch_size: int = _BATCH_SIZE,
     threads: int = 1,
-    workers: tuple[Executor | None, int] | None = None,
+    workers: _BatchFeed | None = None,
     steps: Iterable = (),
 ) -> SerRecord:
     """Estimate the symbol error rate at one operating point, ``osnr_db``
@@ -230,11 +291,12 @@ def simulate_ser(
     sequence, and hence the returned counts, do not depend on ``threads``,
     which is capped at the number of CPUs this process may run on.
 
-    ``workers``, if given, is a ``(pool, window)`` from
-    ``_worker_pool(spec, threads)`` used in place of one of this
-    call's own: ``_run_points`` opens one for all its points.  Batches
-    still in flight when this point stops are dropped, so they never count
-    towards the next point.
+    ``workers``, if given, is the ``_BatchFeed`` of a run whose current
+    point is this one, with this call's seed, OSNR and budget, used in place
+    of a feed of this point alone: ``_run_points`` opens one for all its
+    points.  When this point stops, its batches still in flight are
+    cancelled, so they never count towards the next point; batches the feed
+    has already started for the next point are kept.
 
     ``steps`` is an iterable of work for this process, one step per item:
     whenever the oldest batch in flight on a pool is not yet done, the loop
@@ -248,29 +310,15 @@ def simulate_ser(
     sigma = float(osnr_to_sigma(osnr_db))
 
     steps = iter(steps)
-    trials = errors = submitted = 0
-    ahead = deque()  # (count, error count or its future) past the commit point
-    scope = _worker_pool(spec, threads) if workers is None else nullcontext(workers)
-    with scope as (pool, window):
+    trials = errors = 0
+    scope = (_batch_feed(spec, [(sigma, seed)], max_trials, batch_size, threads)
+             if workers is None else nullcontext(workers))
+    with scope as feed:
         while trials < max_trials and (target_errors is None or errors < target_errors):
-            while len(ahead) < window and submitted * batch_size < max_trials:
-                count = min(batch_size, max_trials - submitted * batch_size)
-                task = (sigma, seed, submitted, count)
-                if pool is None:
-                    ahead.append((count, _simulate_batch(spec, *task)))
-                else:
-                    ahead.append((count, pool.submit(_pool_run, task)))
-                submitted += 1
-            count, run = ahead.popleft()
-            if pool is None:
-                errors += run
-            else:
-                while not run.done() and next(steps, _DONE) is not _DONE:
-                    pass
-                errors += run.result()
+            count, batch_errors = feed.take(steps)
             trials += count
-        for _, fut in ahead:
-            fut.cancel()
+            errors += batch_errors
+        feed.stop()
 
     ser = errors / trials
     lo, hi = wilson_interval(errors, trials)
@@ -295,20 +343,30 @@ def _point_seeds(seed: int, count: int) -> list[int]:
 def _run_points(
     spec: ConstellationSpec, points: list[tuple[float, int]], steps: Iterable = (), **budget
 ) -> list[SerRecord]:
-    """``simulate_ser`` at each ``(osnr_db, seed)`` of ``points`` in order, all
-    in one worker pool, with ``budget`` the arguments of ``_check_run``.
-    Every OSNR and the budget are checked before the first point runs.
+    """``simulate_ser`` at each ``(osnr_db, seed)`` of ``points`` in order, with
+    ``budget`` the arguments of ``_check_run``.  Every OSNR, seed and the
+    budget are checked before the first point runs.
+
+    One ``_BatchFeed`` serves the whole run, over one worker pool whose
+    window of 2 * threads batches carries over from one point to the next:
+    the next points' first batches run while a point commits its last, and
+    a point that stops early cancels only its own batches.  Each point is
+    one call of ``simulate_ser``, through the module attribute, whose
+    records are returned in order.
 
     Each point takes work from the iterator ``steps`` while it waits on the
     pool's workers (see ``simulate_ser``); the steps left over run after the
     last point, so all of them have run when this returns."""
-    for osnr, _ in points:
-        _checks.real("osnr_db", osnr, *_OSNR_DB, unit=" dB")
-    threads = _check_run(**budget)[3]
+    plan = [
+        (float(osnr_to_sigma(_checks.real("osnr_db", osnr, *_OSNR_DB, unit=" dB"))),
+         _checks.integer("seed", seed, 0))
+        for osnr, seed in points
+    ]
+    _, max_trials, batch_size, threads = _check_run(**budget)
     steps = iter(steps)
-    with _worker_pool(spec, threads) as workers:
+    with _batch_feed(spec, plan, max_trials, batch_size, threads) as feed:
         records = [
-            simulate_ser(spec, osnr, seed=seed, workers=workers, steps=steps, **budget)
+            simulate_ser(spec, osnr, seed=seed, workers=feed, steps=steps, **budget)
             for osnr, seed in points
         ]
     for _ in steps:

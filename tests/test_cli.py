@@ -123,6 +123,25 @@ class TestSerCommand:
         assert entry["sha256"] == sha256_of(out)
         assert entry["bytes"] == out.stat().st_size
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    @pytest.mark.parametrize(("budget", "stops_early"), [
+        (("--target-errors", "1000000", "--max-trials", "768"), False),
+        (("--target-errors", "100", "--max-trials", "40960"), True),
+    ], ids=["fixed", "error-target"])
+    def test_threads_write_identical_bytes(self, tmp_path, budget, stops_early):
+        # Two real workers run the next point's batches while a point
+        # commits; the CSV must be the one a single worker writes.
+        outs = [tmp_path / "two.csv", tmp_path / "one.csv"]
+        for threads, out in zip(("2", "1"), outs):
+            argv = ["ser", "--scheme", "cubic", "--beta", "4", "--alpha", "0.3",
+                    "--osnr", "20:22", "--batch-size", "256", "--seed", "3", *budget,
+                    "--threads", threads, "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        trials = [int(row["trials"]) for row in read_rows(outs[1])]
+        assert len(trials) == 3
+        assert all(t < 40960 for t in trials) if stops_early else trials == [768] * 3
+
     def test_lattice_scheme_fills_union_bound_column(self, tmp_path):
         out = tmp_path / "oslc.csv"
         argv = [
@@ -785,7 +804,11 @@ class TestAxisGrammar:
         assert all(type(v) is kind and math.isfinite(v) for v in values)
 
     @pytest.mark.parametrize(("text", "kind", "points"), [
+        # the help's and the benchmark's axes, as the 10-decimal rounding parsed them
         ("0.1:0.4:0.1", float, [0.1, 0.2, 0.3, 0.4]),
+        ("24:29:0.5", float, [24.0 + i / 2 for i in range(11)]),
+        ("25.75:26.25:0.25", float, [25.75, 26.0, 26.25]),
+        ("2:64:2", int, list(range(2, 65, 2))),
         ("24:26", float, [24.0, 25.0, 26.0]),
         (" 2:8:3 ", int, [2, 5, 8]),
         ("8,16,,24", int, [8, 16, 24]),
@@ -811,6 +834,17 @@ class TestAxisGrammar:
         out = tmp_path / "shaping.csv"
         assert main(["shaping", "--n", "4", "--alpha", "0.1:0.46:0.1", "--out", str(out)]) == 0
         assert [r["alpha"] for r in read_rows(out)] == ["0.1", "0.2", "0.3", "0.4"]
+
+    def test_alpha_range_finer_than_ten_decimals_runs(self, tmp_path):
+        # each point was rounded to 10 decimals, so alpha was 0.0 and this exited 2
+        out = tmp_path / "shaping.csv"
+        assert main(["shaping", "--n", "4", "--alpha", "1e-12:5e-11:1e-12", "--out", str(out)]) == 0
+        assert [float(r["alpha"]) for r in read_rows(out)] == [float(f"{i}e-12") for i in range(1, 51)]
+
+    def test_range_start_keeps_all_its_digits(self):
+        # the start was rounded to 0.123456789
+        assert cli._parse_axis("0.12345678901234:0.2:0.05", float) == [0.12345678901234,
+                                                                     0.17345678901234]
 
     def test_every_alpha_checked_before_the_first_solve(self, tmp_path, monkeypatch, capsys):
         # alpha = 0.7 used to fail only after n = 128 had been solved at 0.45

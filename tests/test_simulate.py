@@ -217,9 +217,11 @@ class TestSimulateSer:
         # used to loop without advancing.
         script = (
             "from oslc.constellations import build_spec\n"
-            "from oslc.simulate import simulate_ser\n"
-            "simulate_ser(build_spec('cubic', 2, 0.3), 10.0, max_trials=100,\n"
-            f"             batch_size={batch_size}, workers=(None, 1))\n"
+            "from oslc.simulate import _batch_feed, simulate_ser\n"
+            "spec = build_spec('cubic', 2, 0.3)\n"
+            "with _batch_feed(spec, [(0.1, 0)], 100, 4096, 1) as feed:\n"
+            "    simulate_ser(spec, 10.0, max_trials=100,\n"
+            f"                 batch_size={batch_size}, workers=feed)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(oslc.__file__).parents[1]))
         proc = subprocess.run(
@@ -472,3 +474,126 @@ class TestParentSteps:
         assert sim._run_points(cubic_b4, [], steps=self.steps(3, batches_run, seen),
                                threads=2, **self.BUDGET) == []
         assert seen == [0, 0, 0]
+
+
+class TestBatchFeed:
+    """One feed serves a run's points: tasks go in point by point, then
+    batch by batch, and the window carries over from one point to the next."""
+
+    BATCH = 64
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """A two-worker pool whose futures run their task when the result is
+        read; returns every ("submit" | "commit" | "cancel", seed, batch)."""
+        events = []
+
+        class RecordingFuture:
+            def __init__(self, fn, task):
+                self.fn, self.task = fn, task
+
+            def record(self, what):
+                events.append((what, self.task[1], self.task[2]))
+
+            def done(self):
+                return True
+
+            def result(self):
+                self.record("commit")
+                return self.fn(self.task)
+
+            def cancel(self):
+                self.record("cancel")
+                return True
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def submit(self, fn, task):
+                events.append(("submit", task[1], task[2]))
+                return RecordingFuture(fn, task)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "_POOL_SPEC", None)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        return events
+
+    def run(self, spec, points, threads, **budget):
+        return sim._run_points(spec, points, threads=threads, batch_size=self.BATCH, **budget)
+
+    @staticmethod
+    def most_in_flight(events):
+        flight = most = 0
+        for what, _, _ in events:
+            flight += 1 if what == "submit" else -1
+            most = max(most, flight)
+        return most
+
+    def test_fixed_budgets_run_into_the_next_point(self, cubic_b4, events):
+        points = [(20.0, 1), (21.0, 2), (22.0, 3)]
+        budget = dict(target_errors=None, max_trials=3 * self.BATCH)
+        two = self.run(cubic_b4, points, 2, **budget)
+        submitted = [(seed, batch) for what, seed, batch in events if what == "submit"]
+        assert submitted == [(seed, batch) for _, seed in points for batch in range(3)]
+        assert events.index(("submit", 2, 0)) < events.index(("commit", 1, 2))
+        assert self.most_in_flight(events) == 4
+        assert not any(what == "cancel" for what, _, _ in events)
+        assert two == self.run(cubic_b4, points, 1, **budget)
+
+    def test_early_stop_cancels_only_its_own_batches(self, cubic_b4, events):
+        # At 20 dB a batch of 64 has 35 to 50 errors, so every point stops
+        # after its second batch of three with its third in flight.
+        points = [(20.0, 1), (20.0, 2), (20.0, 3)]
+        budget = dict(target_errors=70, max_trials=3 * self.BATCH)
+        two = self.run(cubic_b4, points, 2, **budget)
+        assert [rec.trials for rec in two] == [2 * self.BATCH] * 3
+        for _, seed in points:
+            mine = [(what, batch) for what, s, batch in events if s == seed]
+            assert mine == [("submit", 0), ("submit", 1), ("submit", 2),
+                            ("commit", 0), ("commit", 1), ("cancel", 2)]
+        # point 2's first batch was in flight when point 1 stopped, and was
+        # committed, not submitted again
+        assert events.index(("submit", 2, 0)) < events.index(("cancel", 1, 2))
+        assert events.count(("submit", 2, 0)) == 1
+        assert self.most_in_flight(events) <= 4
+        assert two == self.run(cubic_b4, points, 1, **budget)
+
+    def test_large_trial_cap_starts_no_later_point_early(self, cubic_b4, events):
+        points = [(20.0, 1), (20.0, 2)]
+        budget = dict(target_errors=1, max_trials=50 * self.BATCH)
+        two = self.run(cubic_b4, points, 2, **budget)
+        assert [rec.trials for rec in two] == [self.BATCH] * 2
+        last_of_first = max(i for i, (_, seed, _) in enumerate(events) if seed == 1)
+        assert events.index(("submit", 2, 0)) > last_of_first
+        assert events[:last_of_first + 1] == [
+            *(("submit", 1, batch) for batch in range(4)),
+            ("commit", 1, 0),
+            *(("cancel", 1, batch) for batch in range(1, 4)),
+        ]
+        assert two == self.run(cubic_b4, points, 1, **budget)
+
+    def test_each_point_is_one_traced_call(self, cubic_b4, inline_pools, monkeypatch):
+        # the benchmark's tracer counts committed trials through the module
+        # attribute simulate_ser, once per point
+        calls = []
+        run_point = sim.simulate_ser
+
+        def spy_point(*args, **kwargs):
+            calls.append(run_point(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(sim, "simulate_ser", spy_point)
+        points = [(20.0, 1), (21.0, 2), (22.0, 3)]
+        records = sim._run_points(cubic_b4, points, target_errors=None,
+                                  max_trials=1000, batch_size=256, threads=2)
+        assert inline_pools == [2]
+        assert len(calls) == len(points)
+        assert all(a is b for a, b in zip(records, calls))
+        assert sum(rec.trials for rec in calls) == 3 * 1000
