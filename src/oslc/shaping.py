@@ -169,44 +169,51 @@ def _avg_first_moment(n: int, t: float) -> float:
 def kernel_k(s: float) -> float:
     """K(s) = 1/(1 - e^{-s}) - 1/s: mean of the tilted uniform on [0, 1].
 
-    Increases from 1/2 (s -> 0) to 1 (s -> inf).  The s -> 0 limit is taken
-    by Taylor expansion to dodge the 0/0.
+    Increases from 1/2 (s -> 0) to 1 (s -> inf), with K(-s) = 1 - K(s).
     """
-    if s == 0.0:
-        return 0.5
-    if abs(s) < 1e-5:
-        return 0.5 + s / 12.0 - s**3 / 720.0
-    return 1.0 / -math.expm1(-s) - 1.0 / s
+    return 1.0 - _tail_mean(s) if s >= 0.0 else _tail_mean(-s)
+
+
+def _tail_mean(mu: float) -> float:
+    """1 - K(mu) = 1/mu - 1/(e^mu - 1) for mu >= 0, below 1/mu.  Below
+    mu = 0.05, where that form cancels, it is the Taylor series to mu^7,
+    whose next term mu^9/47900160 is below 1e-19; above, 1/(e^mu - 1) is
+    taken through e^-mu, which stays finite as mu grows."""
+    if mu < 0.05:
+        m2 = mu * mu
+        return 0.5 - mu * (1 / 12 - m2 * (1 / 720 - m2 * (1 / 30240 - m2 / 1209600)))
+    return 1.0 / mu - math.exp(-mu) / -math.expm1(-mu)
 
 
 def solve_s_x(x: float) -> float:
-    """Inverse of kernel_k on (1/2, 1): the tilt s_x with K(s_x) = x."""
+    """Inverse of kernel_k on (1/2, 1): the tilt s_x with K(s_x) = x, which
+    is mu* at alpha = 1 - x (exact in float64 for these x)."""
     if not 0.5 < _checks.real("x", x) < 1.0:
         raise ValueError(f"x must lie in (1/2, 1), got {x!r}")
-    lo, hi = 0.0, 2.0 / (1.0 - x) + 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kernel_k(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
+    return solve_mu_star(1.0 - x)
 
 
 def solve_mu_star(alpha: float) -> float:
-    """Unique positive root of alpha = 1/mu - 1/(e^mu - 1).
+    """Unique positive root of alpha = 1/mu - 1/(e^mu - 1) = 1 - K(mu).
 
-    Equivalently mu* = s_{1-alpha} (the defining map is 1 - K(mu)).
-    Strictly decreasing in alpha: ~1/alpha for small alpha, -> 0 at 1/2.
-    Residual below 1e-12 across (0, 1/2).  Below alpha ~ 1.1e-16, 1 - alpha
-    rounds to 1, outside solve_s_x's domain, and a ValueError names alpha.
+    Solved on alpha itself, so none of its digits is rounded away, by
+    bisection on (0, 1/alpha], which holds the root as 1 - K(mu) < 1/mu,
+    down to two adjacent doubles.  Strictly decreasing in alpha: ~1/alpha
+    for small alpha, -> 0 at 1/2.  Below alpha ~ 5.6e-309, 1/alpha
+    overflows, and a ValueError names alpha.
     """
     alpha = _checks.alpha(alpha)
-    if 1.0 - alpha == 1.0:
-        raise ValueError(f"alpha is too small: 1 - alpha rounds to 1 at alpha={alpha!r}")
-    return solve_s_x(1.0 - alpha)
+    lo, hi = 0.0, 1.0 / alpha
+    if not math.isfinite(hi):
+        raise ValueError(f"alpha is too small: 1/alpha overflows at alpha={alpha!r}")
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if _tail_mean(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+        mid = lo + 0.5 * (hi - lo)
+    return mid
 
 
 def solve_t_star(n: int, alpha: float) -> ShapingSolution:
@@ -323,19 +330,10 @@ def irwin_hall_tail(n: int, x: float) -> float:
     return volume(n, n * (1.0 - _checks.real("x", x, 0, 1)))
 
 
-def mgf_log(s: float) -> float:
-    """ln M(s) for M(s) = (e^s - 1)/s, the uniform MGF; M(0) = 1."""
-    if s == 0.0:
-        return 0.0
-    if s > 700.0:
-        return s - math.log(s)
-    return math.log(math.expm1(s)) - math.log(s)
-
-
 def ld_rate(x: float) -> float:
-    """Large-deviation rate L(x) = ln M(s_x) - x s_x (negative on (1/2,1))."""
-    s = solve_s_x(x)
-    return mgf_log(s) - x * s
+    """Large-deviation rate L(x) = ln M(s_x) - x s_x (negative on (1/2,1)),
+    M(s) = (e^s - 1)/s the uniform MGF: the entropy h_max at 1 - x."""
+    return _h_max(1.0 - x, solve_s_x(x))
 
 
 def ld_dispersion(x: float) -> float:

@@ -21,9 +21,9 @@ own batches.  ``_run_points`` runs the points of a sweep or survey, seeded by
 ``_point_seeds``: it checks them all and the budget, then opens one feed for
 all of them; each worker receives the spec once, when it starts, and a task
 is only (sigma, seed, batch_index, count).  ``simulate_ser`` on its own runs
-a feed of one point.  While the oldest batch is still running on the pool,
-the loop runs steps of other work the caller hands it, such as the rows of
-an indoor heatmap.
+a feed of one point.  The feed also owns the caller's side work, steps such
+as the rows of an indoor heatmap: it runs one whenever the oldest batch is
+still running on the pool, and the rest once the run is over.
 """
 
 from __future__ import annotations
@@ -201,11 +201,12 @@ class _BatchFeed:
     ``window`` batches are in flight, from the current point first and then
     from the points after it, so a later point starts early only once every
     batch of the current one is in flight.  With no pool the window is 1 and
-    a batch runs inline when taken.
+    a batch runs inline when taken; on a pool, the feed runs the iterator
+    ``steps`` of the run's side work while it waits.
     """
 
-    def __init__(self, spec, pool, window, points, max_trials, batch_size):
-        self.spec, self.pool, self.window = spec, pool, window
+    def __init__(self, spec, pool, window, points, max_trials, batch_size, steps):
+        self.spec, self.pool, self.window, self.steps = spec, pool, window, steps
         self.points, self.max_trials, self.batch_size = points, max_trials, batch_size
         self.flight = deque()  # (point, count, error count or its future), oldest first
         self.point = 0  # the point taking batches
@@ -223,15 +224,15 @@ class _BatchFeed:
         self.flight.append((point, count, run))
         self.cursor = (point, batch + 1) if done + count < self.max_trials else (point + 1, 0)
 
-    def take(self, steps) -> tuple[int, int]:
+    def take(self) -> tuple[int, int]:
         """The trial and error counts of the current point's next batch,
-        which must exist.  While that batch runs on the pool, take one step
-        of the iterator ``steps`` at a time and look again."""
+        which must exist.  While that batch runs on the pool, run one of the
+        feed's steps at a time and look again."""
         while len(self.flight) < self.window and self.cursor[0] < len(self.points):
             self._submit()
         _, count, run = self.flight.popleft()
         if self.pool is not None:
-            while not run.done() and next(steps, _DONE) is not _DONE:
+            while not run.done() and next(self.steps, _DONE) is not _DONE:
                 pass
             run = run.result()
         return count, run
@@ -247,21 +248,27 @@ class _BatchFeed:
 
 
 @contextmanager
-def _batch_feed(spec: ConstellationSpec, points, max_trials: int, batch_size: int, threads: int):
+def _batch_feed(spec: ConstellationSpec, points, max_trials: int, batch_size: int,
+                threads: int, steps: Iterable = ()):
     """Yield the ``_BatchFeed`` of ``points`` for a run of ``spec`` with a
     budget that passed ``_check_run``, ``threads`` capped at the CPUs this
     process may run on.  At one worker there is no pool; otherwise each of
     ``threads`` worker processes receives ``spec`` once, through the pool
-    initializer, and the window is ``2 * threads`` batches.
+    initializer, and the window is ``2 * threads`` batches.  The feed owns
+    ``steps``, side work for this process, one step per item (see ``take``);
+    the steps left over run once the pool has closed, unless the run raised.
     """
     threads = min(threads, len(os.sched_getaffinity(0)))
+    steps = iter(steps)
     if threads == 1:
-        yield _BatchFeed(spec, None, 1, points, max_trials, batch_size)
-        return
-    with ProcessPoolExecutor(
-        max_workers=threads, initializer=_pool_init, initargs=(spec,)
-    ) as pool:
-        yield _BatchFeed(spec, pool, 2 * threads, points, max_trials, batch_size)
+        yield _BatchFeed(spec, None, 1, points, max_trials, batch_size, steps)
+    else:
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_pool_init, initargs=(spec,)
+        ) as pool:
+            yield _BatchFeed(spec, pool, 2 * threads, points, max_trials, batch_size, steps)
+    for _ in steps:
+        pass
 
 
 # Operating points simulate_ser accepts, in dB.  Far below, the decoders cast
@@ -280,7 +287,6 @@ def simulate_ser(
     batch_size: int = _BATCH_SIZE,
     threads: int = 1,
     workers: _BatchFeed | None = None,
-    steps: Iterable = (),
 ) -> SerRecord:
     """Estimate the symbol error rate at one operating point, ``osnr_db``
     a real number in _OSNR_DB, with a non-negative integer ``seed`` and a run
@@ -296,11 +302,9 @@ def simulate_ser(
     of a feed of this point alone: ``_run_points`` opens one for all its
     points.  When this point stops, its batches still in flight are
     cancelled, so they never count towards the next point; batches the feed
-    has already started for the next point are kept.
-
-    ``steps`` is an iterable of work for this process, one step per item:
-    whenever the oldest batch in flight on a pool is not yet done, the loop
-    takes one step and then looks again.  At one worker no step runs here.
+    has already started for the next point are kept.  That feed also runs
+    the run's side work while this point waits on its batches; a feed of
+    this point alone has none.
     """
     osnr_db = _checks.real("osnr_db", osnr_db, *_OSNR_DB, unit=" dB")
     seed = _checks.integer("seed", seed, 0)
@@ -309,13 +313,12 @@ def simulate_ser(
     )
     sigma = float(osnr_to_sigma(osnr_db))
 
-    steps = iter(steps)
     trials = errors = 0
     scope = (_batch_feed(spec, [(sigma, seed)], max_trials, batch_size, threads)
              if workers is None else nullcontext(workers))
     with scope as feed:
         while trials < max_trials and (target_errors is None or errors < target_errors):
-            count, batch_errors = feed.take(steps)
+            count, batch_errors = feed.take()
             trials += count
             errors += batch_errors
         feed.stop()
@@ -354,24 +357,19 @@ def _run_points(
     one call of ``simulate_ser``, through the module attribute, whose
     records are returned in order.
 
-    Each point takes work from the iterator ``steps`` while it waits on the
-    pool's workers (see ``simulate_ser``); the steps left over run after the
-    last point, so all of them have run when this returns."""
+    The feed owns ``steps``, the caller's side work, so all of them have run
+    when this returns (see ``_batch_feed``)."""
     plan = [
         (float(osnr_to_sigma(_checks.real("osnr_db", osnr, *_OSNR_DB, unit=" dB"))),
          _checks.integer("seed", seed, 0))
         for osnr, seed in points
     ]
     _, max_trials, batch_size, threads = _check_run(**budget)
-    steps = iter(steps)
-    with _batch_feed(spec, plan, max_trials, batch_size, threads) as feed:
-        records = [
-            simulate_ser(spec, osnr, seed=seed, workers=feed, steps=steps, **budget)
+    with _batch_feed(spec, plan, max_trials, batch_size, threads, steps) as feed:
+        return [
+            simulate_ser(spec, osnr, seed=seed, workers=feed, **budget)
             for osnr, seed in points
         ]
-    for _ in steps:
-        pass
-    return records
 
 
 def ser_sweep(

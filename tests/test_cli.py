@@ -78,8 +78,8 @@ class TestShapingCommand:
         assert main(["shaping", "--n", "24", "--alpha", "1e-8", "--out", str(out)]) == 0
         (row,) = read_rows(out)
         assert float(row["sg_db_approx"]) == shaping.second_order_sg_db(24, 1e-8)
-        # below ~1.1e-16, 1 - alpha rounds to 1
-        assert main(["shaping", "--n", "24", "--alpha", "1e-17", "--out", str(out)]) == 2
+        # below ~5.6e-309, 1/alpha overflows
+        assert main(["shaping", "--n", "24", "--alpha", "1e-310", "--out", str(out)]) == 2
         assert "alpha" in capsys.readouterr().err
 
 

@@ -229,6 +229,19 @@ class TestSoftDecode:
         idx = repetition.soft_ml_decode_batch(cost0, cost1)
         assert np.array_equal(idx, ((cost1 - cost0).sum(axis=1) < 0).astype(np.int64))
 
+    def test_even_code_without_a_block_partition_is_scanned(self):
+        # d_min = 2, but the only weight-2 word through coordinate 0 is 1010,
+        # so the blocks {0}, {2} leave coordinates 1 and 3 uncovered.
+        code = codes.BinaryBlockCode([[1, 0, 1, 0], [0, 1, 0, 1]])
+        assert code.d_min == 2 and code._blocks is None
+        rng = np.random.default_rng(6)
+        cost0, cost1 = rng.integers(-2, 3, size=(2, 60, 4)).astype(np.float64)  # ties too
+        brute = [
+            min(range(4), key=lambda i: np.where(code.codebook[i] == 1, c1, c0).sum())
+            for c0, c1 in zip(cost0, cost1)
+        ]
+        assert code.soft_ml_decode_batch(cost0, cost1).tolist() == brute
+
 
 def tie_heavy_deltas(code, rng, rows):
     """cost1 - cost0 rows near a codeword with 0..4 unreliable coordinates,

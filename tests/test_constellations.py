@@ -331,6 +331,31 @@ class TestDemapping:
         with pytest.raises(con.DemapError):
             con.demap_point(oslc_b2, lam)
 
+    @pytest.mark.parametrize("kind", ["tcc", "oslc"])
+    def test_first_point_past_the_alphabet_rejected(self, kind):
+        # A point of the shaping region of rank m_s, one past the selected
+        # prefix, through each design's layers; rank m_s - 1 still demaps.
+        spec = con.build_spec(kind, 2, 0.2)
+        zero = np.zeros(24, dtype=np.int64)
+
+        def point(rank):
+            d = spec.indexer.unrank(rank)
+            return d if kind == "tcc" else con._coset_points(d, zero, 1)
+
+        last = con.demap_point(spec, point(spec.td.m_s - 1))
+        assert con._bits_to_int(last[: spec.k_s].astype(np.uint8)) == spec.td.m_s - 1
+        with pytest.raises(con.DemapError, match="outside the selected alphabet"):
+            con.demap_point(spec, point(spec.td.m_s))
+
+    @pytest.mark.parametrize("level", [-1, 4])
+    def test_cubic_level_outside_the_levels_rejected(self, level):
+        spec = con.build_spec("cubic", 2, 0.2)
+        assert spec.peak_unscaled + 1 == 4
+        lam = np.zeros(24, dtype=np.int64)
+        lam[5] = level
+        with pytest.raises(con.DemapError, match="level out of range"):
+            con.demap_point(spec, lam)
+
     @pytest.mark.parametrize("coord", [0, 7, 23])
     def test_one_flipped_parity_rejected(self, oslc_b2, coord):
         rng = np.random.default_rng(37)

@@ -134,6 +134,27 @@ class TestSolveTStar:
         assert shaping.volume(np.int64(128), 128.0) == 1.0
         assert math.isfinite(shaping.ld_tail_approx(10**6, 0.7))
 
+    def test_exact_branch_meets_alpha(self):
+        # n > 40 runs the bisection on exact rational sums.  The reference is
+        # the mean of one coordinate of the uniform on T_n(t*), by quadrature:
+        # int_0^1 x V_{n-1}(t - x) dx / int_0^1 V_{n-1}(t - x) dx.
+        n, alpha = 48, 0.3
+        assert alpha > 1.0 / (n + 1)
+        with mpmath.workdps(60):
+            t = mpmath.mpf(shaping.solve_t_star(n, alpha).t_star)
+
+            def v(s):
+                return mpmath.fsum(
+                    (-1) ** k * mpmath.binomial(n - 1, k) * (s - k) ** (n - 1)
+                    for k in range(int(mpmath.floor(s)) + 1)
+                ) / mpmath.factorial(n - 1)
+
+            cuts = [0, t - mpmath.floor(t), 1]
+            mean = mpmath.quad(lambda x: x * v(t - x), cuts) / mpmath.quad(
+                lambda x: v(t - x), cuts
+            )
+        assert abs(float(mean) - alpha) < 1e-12
+
     def test_numpy_integer_dimension(self):
         # int64 n was refused while build_spec took an int64 beta
         assert shaping.solve_t_star(np.int64(24), 0.2) == shaping.solve_t_star(24, 0.2)
@@ -152,7 +173,7 @@ class TestSolveTStar:
             for alpha in (0.2, 0.3):
                 digest.update(repr(shaping.solve_t_star(n, alpha)).encode())
         assert digest.hexdigest() == (
-            "e7c679c7117fd4bcd4e9b04b371d0b920974d722bc7ceccdfe1f0550385a6605"
+            "5f2a436511d7f60877215352c5baa7ec50433ac3ec7d4019de39548619a07930"
         )
 
 
@@ -181,6 +202,18 @@ class TestMuStar:
         mu = shaping.solve_mu_star(alpha)
         back = 1.0 / mu - 1.0 / math.expm1(mu)
         assert back == pytest.approx(alpha, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        # near 1/2 the root itself moves by about 6e-16/mu* relative per ulp of alpha
+        "alpha,rel", [(1e-17, 1e-15), (1e-12, 1e-15), (1e-8, 1e-15), (0.3, 1e-15),
+                      (0.499, 1e-12), (0.4999, 1e-11)]
+    )
+    def test_against_extended_precision(self, alpha, rel):
+        # solved on 1 - alpha, mu* was 3.3e-5 low at 1e-12 and 1e-17 failed
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            want = mpmath.findroot(lambda m: 1 / m - 1 / mpmath.expm1(m) - a, 1 / a)
+        assert shaping.solve_mu_star(alpha) == pytest.approx(float(want), rel=rel, abs=0)
 
 
 class TestTStarApprox:
@@ -296,9 +329,10 @@ class TestSecondOrderGain:
                     got = shaping.solve_t_star(n, alpha).sg_db_approx
                     assert abs(got - want) < 1e-15, (n, alpha)
 
-    def test_alpha_where_one_minus_alpha_rounds_to_one(self):
-        with pytest.raises(ValueError, match="alpha"):
-            shaping.second_order_sg_db(24, 1e-17)
+    def test_alpha_where_one_over_alpha_overflows(self):
+        assert math.isfinite(shaping.second_order_sg_db(24, 1e-300))
+        with pytest.raises(ValueError, match="1/alpha overflows"):
+            shaping.second_order_sg_db(24, 1e-310)
 
 
 class TestIrwinHallTail:
@@ -343,6 +377,14 @@ class TestLargeDeviationTail:
             return abs(r - 1.0)
 
         assert misfit(64) < misfit(8)
+
+    @pytest.mark.parametrize("x", [0.55, 0.7, 0.9, 0.999, 1 - 1e-9])
+    def test_rate_against_extended_precision(self, x):
+        with mpmath.workdps(50):
+            a = 1 - mpmath.mpf(x)
+            s = mpmath.findroot(lambda m: 1 / m - 1 / mpmath.expm1(m) - a, 1 / a)
+            want = float(mpmath.log(mpmath.expm1(s) / s) - x * s)
+        assert shaping.ld_rate(x) == pytest.approx(want, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.3])
     def test_saddle_point_matches_mu_star(self, alpha):
