@@ -5,12 +5,13 @@ fine-coding layer of the 24-dimensional constellation, and the (8,4,4)
 extended Hamming code, a small stand-in for exhaustive tests.  The (n, n-1)
 single-parity-check code of the mod-4 layer (the even sum of D_n in
 H_n = 2 D_n + C) is not built as a code: the lattice decoders enforce it
-with one parity repair (see ``lattices``).  Soft-decision decoding
-is exact maximum likelihood.  The scalar decoder scans the whole codebook
-(4096 x 24 multiply-adds per Golay word).  The batch decoder first decodes
-through the code's block structure (for Golay, the sextet and its 128
-hexacode cosets; see ``_BlockDecoder``) and scans only the rows where that
-cannot rule out a tie, so it returns exactly what the scan would.
+with one parity repair (see ``lattices``), which reads the code layer's
+share off ``weights``.  Soft-decision decoding is exact maximum likelihood.
+The scalar decoder scans the whole codebook (4096 x 24 multiply-adds per
+Golay word).  The batch decoder first decodes through the code's block
+structure (for Golay, the sextet and its 128 hexacode cosets; see
+``_BlockDecoder``) and scans only the rows where that cannot rule out a
+tie, so it returns exactly what the scan would.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class SoftDecodeResult:
 class BinaryBlockCode:
     """An (n, k) binary linear code given by a generator matrix.
 
-    The full codebook (2^k codewords) is materialized once; encode, membership
-    and exhaustive soft-ML decoding all run off it.  Intended for k <= 16.
+    The full codebook (2^k codewords) and its int64 ``weights`` are built
+    once; encode, membership and exhaustive soft-ML decoding all run off
+    them.  Intended for k <= 16.
     """
 
     def __init__(self, generator, d_min: int | None = None, name: str = ""):
@@ -58,8 +60,8 @@ class BinaryBlockCode:
         msgs = (np.arange(1 << self.k, dtype=np.uint32)[:, None]
                 >> np.arange(self.k, dtype=np.uint32)) & 1
         self.codebook = (msgs.astype(np.uint8) @ g) % 2
-        weights = self.codebook.sum(axis=1)
-        self.d_min = int(weights[1:].min()) if self.k > 0 else self.n
+        self.weights = self.codebook.sum(axis=1, dtype=np.int64)
+        self.d_min = int(self.weights[1:].min()) if self.k > 0 else self.n
         if d_min is not None and self.d_min != d_min:
             raise ValueError(
                 f"{self.name}: declared minimum distance {d_min}, actual {self.d_min}"
@@ -95,7 +97,7 @@ class BinaryBlockCode:
 
     def weight_enumerator(self) -> dict[int, int]:
         """Exhaustive weight distribution {weight: count} over all codewords."""
-        w, c = np.unique(self.codebook.sum(axis=1), return_counts=True)
+        w, c = np.unique(self.weights, return_counts=True)
         return {int(a): int(b) for a, b in zip(w, c)}
 
     def is_self_dual(self) -> bool:

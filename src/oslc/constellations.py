@@ -75,8 +75,11 @@ XI_PLUS = np.array([5] + [1] * 23, dtype=np.int64)
 # is odd, whose first coordinate 4*d[0] - 3 is still nonnegative.
 _SHIFTS = np.array([[0 * XI, 0 * XI], [XI_PLUS, XI]])
 
+# The two Leech cosets 2 H_24 + a that OslcSpec.decode searches.
+_LEECH_COSETS = (0 * XI, XI)
+
 # Exact mean coordinate sum of 2*c over the Golay words c (oslc's code layer).
-_GOLAY_LAYER_MEAN = Fraction(2 * int(GOLAY.codebook.sum()), len(GOLAY.codebook))
+_GOLAY_LAYER_MEAN = Fraction(2 * int(GOLAY.weights.sum()), len(GOLAY.codebook))
 
 
 class DemapError(ValueError):
@@ -261,6 +264,10 @@ class ConstellationSpec(ABC):
             return None
         return TdSampler(self.indexer, self.td.m_s)
 
+    def __getstate__(self) -> dict:
+        """The fields without the cached tables, which a copy rebuilds on use."""
+        return {k: v for k, v in vars(self).items() if k not in ("indexer", "sampler")}
+
 
 # Byte maps between bit values 0/1 and the base-2 digits "0"/"1".
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -333,10 +340,7 @@ class OslcSpec(ConstellationSpec):
         return _coset_points(d, c, a)
 
     def decode(self, w):
-        est, _, _ = decode_shifted_union_batch(
-            w, (np.zeros(self.n, dtype=np.int64), XI), code=self.code
-        )
-        return est
+        return decode_shifted_union_batch(w, _LEECH_COSETS, code=self.code)[0]
 
     def _map(self, bits):
         d = self.indexer.unrank(_bits_to_int(bits[: self.k_s]))

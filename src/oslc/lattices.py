@@ -14,7 +14,7 @@ distance 4*sqrt(2), kissing number 196560).
 Decoding follows the classic three stages: exact closest point in U_n via
 per-coordinate even/odd representatives plus soft-ML decoding of the code;
 a single +-2 parity repair to land in H_n (bounded-distance optimal within
-the packing radius); and a minimum-distance sweep over coset translations.
+the packing radius); and a minimum over coset translations, all in one pass.
 Tie rules are pinned down everywhere so results are reproducible: halves
 round toward the smaller integer, and among equal candidates the smallest
 coordinate index (or first-listed coset) wins.
@@ -127,8 +127,7 @@ def closest_point_construction_a_batch(w: np.ndarray, code: BinaryBlockCode = GO
         raise ValueError(f"dimension {w.shape[1]} does not match code length {code.n}")
     even, odd, cost0, cost1 = _representative_costs(w)
     idx = code.soft_ml_decode_batch(cost0, cost1)
-    bits = code.codebook[idx]
-    u = np.where(bits.astype(bool), odd, even)
+    u = np.where(code.codebook[idx].astype(bool), odd, even)
     return u.astype(np.int64), idx
 
 
@@ -146,8 +145,8 @@ def bdd_half_lattice_batch(w: np.ndarray, code: BinaryBlockCode = GOLAY) -> np.n
     """
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     u, idx = closest_point_construction_a_batch(w, code)
-    bits = code.codebook[idx]
-    _repair_parity(u, w, (((u - bits) // 2).sum(axis=1) & 1).astype(bool), 2)
+    # u = 2 z + c coordinatewise, so the D_n layer z sums to (sum u - wt(c)) / 2.
+    _repair_parity(u, w, ((u.sum(axis=1) - code.weights[idx]) // 2 & 1).astype(bool), 2)
     return u
 
 
@@ -162,7 +161,8 @@ def decode_shifted_union_batch(
     """Minimum-distance decode over union_a (2 H_n + a), batched.
 
     Each coset a contributes the candidate 2 * bdd((y - a)/2) + a; the
-    closest candidate wins (first-listed coset on exact ties).  With cosets
+    closest candidate wins (first-listed coset on exact ties).  All C copies
+    of (y - a)/2 go through one (C*B, n) bdd call, row by row.  With cosets
     (0, XI) at n = 24 this is the Leech lattice decoder,
     bounded-distance optimal within radius 2*sqrt(2).  Returns
     (points (B, n) int64, distance_sq (B,), coset_index (B,)).
@@ -170,20 +170,10 @@ def decode_shifted_union_batch(
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if len(cosets) == 0:
         raise ValueError("need at least one coset translation")
-    best_pt = None
-    best_d = None
-    best_a = None
-    for ai, a in enumerate(cosets):
-        av = np.asarray(a, dtype=np.float64)
-        h = bdd_half_lattice_batch((y - av) / 2, code)
-        cand = 2 * h + av.astype(np.int64)
-        d = ((cand - y) ** 2).sum(axis=1)
-        if best_pt is None:
-            best_pt, best_d = cand, d
-            best_a = np.zeros(len(d), dtype=np.int64)
-        else:
-            better = d < best_d        # strict: earlier coset wins ties
-            best_pt = np.where(better[:, None], cand, best_pt)
-            best_d = np.where(better, d, best_d)
-            best_a = np.where(better, ai, best_a)
-    return best_pt, best_d, best_a
+    a = np.asarray(cosets, dtype=np.float64)[:, None, :]        # (C, 1, n)
+    h = bdd_half_lattice_batch(((y - a) / 2).reshape(-1, y.shape[1]), code)
+    cand = 2 * h.reshape(a.shape[0], *y.shape) + a.astype(np.int64)  # (C, B, n)
+    d = ((cand - y) ** 2).sum(axis=2)                             # (C, B)
+    best = d.argmin(axis=0)        # first minimum: earlier coset wins ties
+    rows = np.arange(y.shape[0])
+    return cand[best, rows], d[best, rows], best

@@ -132,9 +132,9 @@ def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
-# Rows per decode call.  A (512, 24) float64 slice is 96 KiB, so the decoders'
-# per-row temporaries stay under the allocator's 128 KiB mmap threshold and
-# are recycled from the heap rather than mapped afresh for every batch.
+# Rows per decode call (1024 stacked rows in the Leech decoder).  The
+# decoders' temporaries are recycled from the heap rather than mapped afresh
+# for every batch: after the first batches, a batch takes no page fault.
 _DECODE_ROWS = 512
 
 
@@ -254,12 +254,14 @@ def _batch_feed(spec: ConstellationSpec, points, max_trials: int, batch_size: in
     budget that passed ``_check_run``, ``threads`` capped at the CPUs this
     process may run on.  At one worker there is no pool; otherwise each of
     ``threads`` worker processes receives ``spec`` once, through the pool
-    initializer, and the window is ``2 * threads`` batches.  The feed owns
+    initializer, and the window is ``2 * threads`` batches; forked workers
+    inherit the sampler's tables, built first, here.  The feed owns
     ``steps``, side work for this process, one step per item (see ``take``);
     the steps left over run once the pool has closed, unless the run raised.
     """
     threads = min(threads, len(os.sched_getaffinity(0)))
     steps = iter(steps)
+    spec.sampler  # built once, before any worker forks
     if threads == 1:
         yield _BatchFeed(spec, None, 1, points, max_trials, batch_size, steps)
     else:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -106,7 +107,7 @@ class TestOslcBuild:
     def test_frozen_design_points(self, beta, alpha, h_star, kappa_approx):
         s = con.build_oslc_spec(beta, alpha)
         assert s.td.h == h_star
-        assert s.kappa == pytest.approx(kappa_approx, rel=1e-5)
+        assert s.kappa == pytest.approx(kappa_approx, rel=1e-5, abs=0)
 
     def test_beta5_peak_value(self):
         s = con.build_oslc_spec(5, 0.2)
@@ -133,16 +134,16 @@ class TestTccBuild:
         s = con.build_tcc_spec(5, 0.2)
         assert s.td.h == 62
         assert s.td.l == 156
-        assert s.kappa == pytest.approx(1.602580e-2, rel=1e-5)
+        assert s.kappa == pytest.approx(1.602580e-2, rel=1e-5, abs=0)
         s = con.build_tcc_spec(4, 0.2)
         assert s.td.h == 30
         assert s.kappa == Fraction(1, 30)
         s = con.build_tcc_spec(2, 0.2)
         assert s.td.h == 5
-        assert s.kappa == pytest.approx(1.694332e-1, rel=1e-5)
+        assert s.kappa == pytest.approx(1.694332e-1, rel=1e-5, abs=0)
         s = con.build_tcc_spec(5, 0.3)
         assert s.td.h == 43
-        assert s.kappa == pytest.approx(2.324717e-2, rel=1e-5)
+        assert s.kappa == pytest.approx(2.324717e-2, rel=1e-5, abs=0)
 
     def test_all_bits_go_through_shaping(self, tcc_b2):
         assert (tcc_b2.k_s, tcc_b2.k_c, tcc_b2.k_a) == (48, 0, 0)
@@ -464,6 +465,21 @@ def test_simulator_draws_are_codebook_points(kind):
     for p in points:
         assert np.array_equal(con.map_bits(spec, con.demap_point(spec, p)), p)
     assert np.array_equal(spec.decode(points.astype(np.float64)), points)
+
+
+@pytest.mark.parametrize("kind", ["tcc", "oslc"])
+def test_warm_spec_pickles_without_its_tables(kind):
+    # A copy sent to a worker by pickle carries the design, not the
+    # sampler's tables, and builds its own sampler when it first draws.
+    spec = con.build_spec(kind, 5, 0.2)
+    want = spec.draw(np.random.default_rng(29), 256)
+    blob = pickle.dumps(spec)
+    assert len(blob) < 1024
+    copy = pickle.loads(blob)
+    assert "sampler" in vars(spec) and "indexer" in vars(spec)
+    assert "sampler" not in vars(copy) and "indexer" not in vars(copy)
+    assert type(copy) is type(spec) and copy.td == spec.td and copy.kappa == spec.kappa
+    assert np.array_equal(copy.draw(np.random.default_rng(29), 256), want)
 
 
 class TestDispatchAndExport:

@@ -55,7 +55,7 @@ ORACLE_ROOMS = {
 
 class TestGeometry:
     def test_concentrator_gain(self, room):
-        assert room.concentrator_gain == pytest.approx(3.0, rel=1e-14)
+        assert room.concentrator_gain == pytest.approx(3.0, rel=1e-14, abs=0)
 
     def test_chip_grid_shape_and_pitch(self, room):
         chips = chip_positions(room)
@@ -77,7 +77,7 @@ class TestGeometry:
             * room.concentrator_gain
             / (2.0 * math.pi * d2)
         )
-        assert lambertian_gain(chip, pd, room) == pytest.approx(want, rel=1e-12)
+        assert lambertian_gain(chip, pd, room) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_field_of_view_cutoff(self, room):
         chip = np.array([1.6, 1.6, 3.0])
@@ -214,11 +214,11 @@ class TestLinkBudget:
             * (shot + room.background_current * room.noise_factor)
             * room.noise_scale
         )
-        assert b.sigma == pytest.approx(math.sqrt(var), rel=1e-12)
+        assert b.sigma == pytest.approx(math.sqrt(var), rel=1e-12, abs=0)
         eff = 0.2 * room.responsivity * room.eo_gain * b.gain_sum
-        assert b.eff_gain == pytest.approx(eff, rel=1e-12)
-        assert b.sigma_eff == pytest.approx(b.sigma / b.eff_gain, rel=1e-12)
-        assert b.osnr_db == pytest.approx(-10.0 * math.log10(b.sigma_eff), rel=1e-12)
+        assert b.eff_gain == pytest.approx(eff, rel=1e-12, abs=0)
+        assert b.sigma_eff == pytest.approx(b.sigma / b.eff_gain, rel=1e-12, abs=0)
+        assert b.osnr_db == pytest.approx(-10.0 * math.log10(b.sigma_eff), rel=1e-12, abs=0)
 
     def test_collapsed_lamps_stay_within_a_tenth_db(self, room):
         collapsed = RoomConfig(collapse_lamps=True)
@@ -536,7 +536,7 @@ class TestSurvey:
         assert [r.osnr_db for r in s.records] == pytest.approx([
             25.581617196768907, 25.726452193954962, 25.834318971586143,
             25.779249528220273, 25.582118990970223, 25.337411944908133,
-        ], rel=1e-12)
+        ], rel=1e-12, abs=0)
         assert (s.trials, s.errors) == (49152, 17202)
 
     def test_shared_pool_matches_serial(self, room):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oslc.codes import GOLAY, HAMMING8
+from oslc.codes import GOLAY, HAMMING8, BinaryBlockCode
 from oslc.lattices import (
     XI,
     bdd_half_lattice_batch,
@@ -176,6 +176,18 @@ class TestHalfLattice:
         want[2] -= 2
         assert np.array_equal(out, want)
 
+    def test_parity_counts_the_code_layer_weight(self):
+        # Golay and extended Hamming words have weight 0 mod 4, so their
+        # weight never moves the parity of the integer layer; an even-weight
+        # code's words of weight 2 do.
+        even6 = BinaryBlockCode(np.hstack([np.eye(5), np.ones((5, 1))]), d_min=2)
+        rng = np.random.default_rng(43)
+        w = rng.normal(scale=3.0, size=(300, 6))
+        for v in bdd_half_lattice_batch(w, even6):
+            assert in_half_lattice(v, even6)
+        h = random_half_lattice_points(rng, 300, even6)
+        assert np.array_equal(bdd_half_lattice_batch(h.astype(float), even6), h)
+
     def test_parity_fix_zero_error_moves_first_coordinate_up(self):
         rng = np.random.default_rng(61)
         h = random_half_lattice_points(rng, 1)[0]
@@ -185,6 +197,31 @@ class TestHalfLattice:
         want = u.copy()
         want[0] += 2
         assert np.array_equal(out, want)
+
+
+def union_by_coset(y, cosets, code=GOLAY):
+    """Reference coset-union decode: one half-lattice decode per coset,
+    merged into a running minimum in which a later coset must be strictly
+    closer to win."""
+    best = None
+    for ai, a in enumerate(cosets):
+        cand = 2 * bdd_half_lattice_batch((y - a) / 2, code) + np.asarray(a, dtype=np.int64)
+        d = ((cand - y) ** 2).sum(axis=1)
+        if best is None:
+            best = [cand, d, np.zeros(len(d), dtype=np.int64)]
+            continue
+        better = d < best[1]
+        best = [np.where(better[:, None], cand, best[0]), np.where(better, d, best[1]),
+                np.where(better, ai, best[2])]
+    return best
+
+
+def assert_matches_by_coset(y, cosets, code=GOLAY):
+    got = decode_shifted_union_batch(y, cosets, code)
+    for field, want in zip(got, union_by_coset(y, cosets, code)):
+        assert field.dtype == want.dtype
+        assert np.array_equal(field, want)
+    return got
 
 
 class TestShiftedUnion:
@@ -229,8 +266,52 @@ class TestShiftedUnion:
         assert np.array_equal(pts[0], XI)
 
     def test_empty_coset_list_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one coset"):
             decode_shifted_union_batch(np.zeros(24), ())
+
+    def test_three_cosets_with_a_duplicate_keep_the_first_listed(self):
+        rng = np.random.default_rng(89)
+        zero = np.zeros(24, dtype=np.int64)
+        cosets = (zero, XI, XI)
+        lam = 2 * random_half_lattice_points(rng, 300) + rng.integers(0, 2, size=(300, 1)) * XI
+        y = lam + rng.normal(scale=0.8, size=lam.shape)
+        _, _, idx = assert_matches_by_coset(y, cosets)
+        assert set(idx.tolist()) == {0, 1}
+
+    def test_tie_heavy_half_integer_inputs(self):
+        # Half-integer rows sit on many decision boundaries at once, so the
+        # two cosets often tie exactly.
+        rng = np.random.default_rng(97)
+        y = rng.integers(-8, 9, size=(2000, 24)) / 2.0
+        zero = np.zeros(24, dtype=np.int64)
+        _, _, idx = assert_matches_by_coset(y, (zero, XI))
+        _, _, idx_swapped = assert_matches_by_coset(y, (XI, zero))
+        tied = decode_shifted_union_batch(y, (zero,))[1] == decode_shifted_union_batch(y, (XI,))[1]
+        assert 100 < tied.sum() < len(y)
+        assert np.all(idx[tied] == 0) and np.all(idx_swapped[tied] == 0)
+        assert np.array_equal(idx[~tied], 1 - idx_swapped[~tied])
+
+    def test_small_code_at_n8(self):
+        rng = np.random.default_rng(101)
+        y = rng.normal(scale=3.0, size=(500, 8))
+        cosets = np.array([[0] * 8, [-3] + [1] * 7, [1] * 8])
+        pts, _, idx = assert_matches_by_coset(y, cosets, HAMMING8)
+        assert pts.shape == (500, 8)
+        assert set(idx.tolist()) == {0, 1, 2}
+
+    def test_one_code_decode_for_all_cosets(self, monkeypatch):
+        calls = []
+        decode = BinaryBlockCode.soft_ml_decode_batch
+
+        def spy(code, cost0, cost1):
+            calls.append(cost0.shape[0])
+            return decode(code, cost0, cost1)
+
+        monkeypatch.setattr(BinaryBlockCode, "soft_ml_decode_batch", spy)
+        y = np.random.default_rng(103).normal(scale=4.0, size=(37, 24))
+        zero = np.zeros(24, dtype=np.int64)
+        decode_shifted_union_batch(y, (zero, XI, XI))
+        assert calls == [3 * 37]
 
 
 class TestMembershipPredicates:

@@ -41,7 +41,7 @@ class TestVolume:
             if t >= n:
                 break
             want = float(exact_volume(n, t))
-            assert shaping.volume(n, float(t)) == pytest.approx(want, rel=1e-12)
+            assert shaping.volume(n, float(t)) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_exact_path_agrees_with_float_path(self):
         # n = 41 takes the rational branch; estimate the same value from the
@@ -53,7 +53,7 @@ class TestVolume:
             for k in range(int(t) + 1):
                 total += (-1) ** k * mpmath.binomial(n, k) * mpmath.mpf(t - k) ** n
             want = float(total / mpmath.factorial(n))
-        assert shaping.volume(n, t) == pytest.approx(want, rel=1e-12)
+        assert shaping.volume(n, t) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def exact_first_moment(n, t):
@@ -77,7 +77,7 @@ class TestFirstMoment:
         exact = [exact_first_moment(n, Fraction(t)) for t in (lo, hi)]
         assert exact[0] < exact[1]
         for t, want in zip((lo, hi), exact):
-            assert shaping.avg_first_moment(n, t) == pytest.approx(float(want), rel=1e-12)
+            assert shaping.avg_first_moment(n, t) == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 class TestSolveTStar:
@@ -305,9 +305,9 @@ class TestSecondOrderGain:
         with mpmath.workdps(50):
             half = mpmath.mpf(mu) / 2
             want = float(1 - (half / mpmath.sinh(half)) ** 2)
-        assert shaping._curvature(mu) == pytest.approx(want, rel=1e-14)
+        assert shaping._curvature(mu) == pytest.approx(want, rel=1e-14, abs=0)
         assert shaping.ld_dispersion(1.0 - alpha) == pytest.approx(
-            math.sqrt(want), rel=1e-14
+            math.sqrt(want), rel=1e-14, abs=0
         )
 
     def test_table_rows_against_extended_precision(self):

@@ -44,7 +44,7 @@ class TestQFunction:
     def test_high_precision_relative_accuracy(self, u):
         with mpmath.workdps(40):
             want = float(mpmath.erfc(u / mpmath.sqrt(2)) / 2)
-        assert sim.q_function(u) == pytest.approx(want, rel=1e-12)
+        assert sim.q_function(u) == pytest.approx(want, rel=1e-12, abs=0)
 
     @given(st.floats(-7, 35), st.floats(0.01, 1.0))
     def test_strictly_decreasing(self, u, step):
@@ -61,7 +61,7 @@ class TestUnionBound:
         with mpmath.workdps(30):
             arg = kappa * 4.0 * math.sqrt(2.0) / (2.0 * sigma)
             want = float(196560 * mpmath.erfc(arg / mpmath.sqrt(2)) / 2)
-        assert sim.union_bound_ser(oslc_b4, osnr) == pytest.approx(want, rel=1e-10)
+        assert sim.union_bound_ser(oslc_b4, osnr) == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_vanishes_at_high_osnr(self, oslc_b4):
         assert sim.union_bound_ser(oslc_b4, 60.0) == 0.0
@@ -178,6 +178,26 @@ class TestSimulateSer:
                 max_trials=40960, batch_size=1024, threads=3,
             )
             assert one == three
+
+    def test_cold_spec_counts_match_across_worker_counts(self):
+        one, two = (
+            sim.simulate_ser(con.build_tcc_spec(3, 0.2), 15.0, seed=17, target_errors=None,
+                             max_trials=8192, batch_size=1024, threads=threads)
+            for threads in (1, 2)
+        )
+        assert one == two
+        assert one.errors > 0
+
+    def test_workers_inherit_the_built_sampler(self, monkeypatch):
+        # Each batch reports, as its error count, whether the spec it runs
+        # on already holds a sampler, before it draws anything.
+        monkeypatch.setattr(sim, "_simulate_batch",
+                            lambda spec, *task: int("sampler" in vars(spec)))
+        spec = con.build_tcc_spec(3, 0.2)
+        assert "sampler" not in vars(spec)
+        rec = sim.simulate_ser(spec, 15.0, target_errors=None, max_trials=4 * 256,
+                               batch_size=256, threads=2)
+        assert rec.errors == 4
 
     def test_run_ahead_is_bounded_by_the_window(self, cubic_b4, inline_pools, monkeypatch):
         # the inline pool runs a batch when it is submitted; a point that
